@@ -100,7 +100,7 @@ func runBuild(path string, stdout io.Writer) error {
 	return nil
 }
 
-// runInspect lists a saved database's entries and shard occupancy.
+// runInspect lists a saved database's entries.
 func runInspect(path string, stdout io.Writer) error {
 	rec, err := loadInto(path)
 	if err != nil {
@@ -112,14 +112,6 @@ func runInspect(path string, stdout io.Writer) error {
 	for _, e := range db.Entries() {
 		fmt.Fprintf(stdout, "  %-10s %s\n", e.Label, e.Word.Symbols)
 	}
-	fmt.Fprint(stdout, "shard occupancy (label-hash striping):")
-	for i, n := range db.ShardSizes() {
-		if i%8 == 0 {
-			fmt.Fprint(stdout, "\n  ")
-		}
-		fmt.Fprintf(stdout, "%3d ", n)
-	}
-	fmt.Fprintln(stdout)
 	return nil
 }
 

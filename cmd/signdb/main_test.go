@@ -28,7 +28,7 @@ func TestBuildInspectVerifyRoundTrip(t *testing.T) {
 	if code := run([]string{"-inspect", path}, &out, &errOut); code != 0 {
 		t.Fatalf("inspect exit %d: %s", code, errOut.String())
 	}
-	for _, want := range []string{"database:", "shard occupancy", "Attention", "Yes", "No"} {
+	for _, want := range []string{"database:", "Attention", "Yes", "No"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out.String())
 		}

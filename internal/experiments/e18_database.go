@@ -12,7 +12,7 @@ import (
 	"hdc/internal/timeseries"
 )
 
-// E18Database measures the sharded, indexed sign database against the
+// E18Database measures the indexed sign database against the
 // retained linear-scan reference at dictionary sizes 10/100/1000 — the
 // fleet-scale regime (hundreds of per-site exemplars) the lookup cascade is
 // built for. Reported per size: mean lookup latency of the linear scan and
@@ -111,7 +111,8 @@ func E18Database() (string, error) {
 	sb.WriteString("Paper baseline: the §IV \"database of strings\" held three words; a\n")
 	sb.WriteString("fleet deployment holds hundreds (per-site signs, several exemplars\n")
 	sb.WriteString("each).\n")
-	sb.WriteString("The store is sharded 16 ways by label hash (per-shard RWMutex, so\n")
+	sb.WriteString("Entries sit in one append-only slice in insertion order (a lookup\n")
+	sb.WriteString("copies the slice header under a read lock and scans lock-free, so\n")
 	sb.WriteString("pool workers never serialise) and lookup runs a best-first\n")
 	sb.WriteString("three-stage cascade: a rotation/mirror-invariant symbol-histogram\n")
 	sb.WriteString("lower bound (O(alphabet) per entry, provably below MINDIST — see\n")
@@ -124,7 +125,7 @@ func E18Database() (string, error) {
 	sb.WriteString("`BenchmarkDatabaseLookup{10,100,1000}` reproduces the cascade\n")
 	sb.WriteString("timings with 0 allocs/op in steady state;\n")
 	sb.WriteString("`BenchmarkDatabaseLookupLinear*` the baseline, and\n")
-	sb.WriteString("`BenchmarkLookupParallel` the shard scaling under concurrent\n")
+	sb.WriteString("`BenchmarkLookupParallel` the scaling under concurrent\n")
 	sb.WriteString("lookers.\n")
 	return sb.String(), nil
 }

@@ -38,7 +38,7 @@ func All() []Experiment {
 		{ID: "E15", Title: "§IV — dead-zone repositioning hint (negative result)", Run: E15RepositioningHint},
 		{ID: "E16", Title: "abstract ext — multi-drone fleet missions", Run: E16Fleet},
 		{ID: "E17", Title: "scale ext — streaming recognition pipeline throughput", Run: E17Pipeline},
-		{ID: "E18", Title: "scale ext — sharded sign database lookup cascade", Run: E18Database},
+		{ID: "E18", Title: "scale ext — indexed sign database lookup cascade", Run: E18Database},
 		{ID: "E19", Title: "scale ext — networked recognition service under multi-operator load", Run: E19Server},
 		{ID: "E20", Title: "scale ext — live-feed ring-buffer ingest + pipeline-backed gestures", Run: E20Ingest},
 		{ID: "E21", Title: "scale ext — fleet-shared recognition pool vs private per-drone pools", Run: E21FleetPool},

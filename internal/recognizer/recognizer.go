@@ -49,11 +49,6 @@ type Config struct {
 	// contour start point jumping between the raised hand and the head as
 	// the view changes. The bounded variant is kept for the E10b ablation.
 	ShiftWindowFrac float64
-	// ScanWorkers, when >1, enables the database's concurrent shard scan
-	// for large dictionaries (see sax.Database.SetScanWorkers). The default
-	// serial scan is right for the built-in reference sets; fleet-scale
-	// per-site dictionaries with hundreds of exemplars benefit.
-	ScanWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -165,9 +160,6 @@ func New(cfg Config) (*Recognizer, error) {
 	}
 	if cfg.ShiftWindowFrac > 0 {
 		db.SetShiftWindowFrac(cfg.ShiftWindowFrac)
-	}
-	if cfg.ScanWorkers > 1 {
-		db.SetScanWorkers(cfg.ScanWorkers)
 	}
 	return &Recognizer{cfg: cfg, db: db, dict: db, enc: enc}, nil
 }
@@ -490,9 +482,6 @@ func (r *Recognizer) LoadReferences(rd io.Reader) error {
 	}
 	if r.cfg.ShiftWindowFrac > 0 {
 		db.SetShiftWindowFrac(r.cfg.ShiftWindowFrac)
-	}
-	if r.cfg.ScanWorkers > 1 {
-		db.SetScanWorkers(r.cfg.ScanWorkers)
 	}
 	r.db = db
 	r.dict = db

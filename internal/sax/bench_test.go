@@ -62,7 +62,7 @@ func BenchmarkMinDistRotationMirror(b *testing.B) {
 
 // benchDB builds a database of n random smooth shapes spread over n/3+1
 // labels — the fleet-scale dictionary profile (many exemplars per sign,
-// per-site custom signs) the sharded cascade is designed for.
+// per-site custom signs) the lookup cascade is designed for.
 func benchDB(b *testing.B, n int) *Database {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -118,7 +118,7 @@ func BenchmarkDatabaseLookupLinear10(b *testing.B)   { benchmarkLookupLinear(b, 
 func BenchmarkDatabaseLookupLinear100(b *testing.B)  { benchmarkLookupLinear(b, 100) }
 func BenchmarkDatabaseLookupLinear1000(b *testing.B) { benchmarkLookupLinear(b, 1000) }
 
-// BenchmarkLookupParallel measures the shard-striped store under the
+// BenchmarkLookupParallel measures the database under the
 // pipeline's access pattern: GOMAXPROCS goroutines, each with its own
 // scratch, hammering lookups concurrently on a 1000-entry dictionary.
 func BenchmarkLookupParallel(b *testing.B) {

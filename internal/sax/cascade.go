@@ -11,7 +11,7 @@ import (
 // cascade (see lookup.go for the stage descriptions). The kernel is written
 // against the Corpus interface so the same best-first refinement loop — and
 // therefore the same deterministic, byte-identical results — runs over the
-// in-memory sharded Database and over the segmented on-disk store
+// in-memory Database and over the segmented on-disk store
 // (internal/sax/store), whose stage-0 histograms live in memory-mapped
 // segment files instead of heap entries.
 //
@@ -210,8 +210,8 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 	sc.matchSeq = sc.matchSeq[:0]
 
 	// Stage 0: histogram lower bound per entry, delegated to the corpus
-	// (shard scan for the in-memory database, mapped prune-index scan for
-	// the on-disk store).
+	// (entry-slice scan for the in-memory database, mapped prune-index scan
+	// for the on-disk store).
 	sc.cands = sc.cands[:0]
 	cp.ScanHist(sc, sc.qHist)
 	sc.stats.Entries = len(sc.cands)

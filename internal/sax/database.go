@@ -3,11 +3,9 @@ package sax
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hdc/internal/timeseries"
 )
@@ -33,8 +31,8 @@ type Entry struct {
 
 	// seq is the global insertion sequence number: a stable identity used to
 	// break exact distance ties deterministically, so the indexed cascade and
-	// the linear reference scan elect the same winner regardless of shard
-	// layout or visit order.
+	// the linear reference scan elect the same winner regardless of visit
+	// order, and both dictionary backends agree.
 	seq uint64
 }
 
@@ -52,57 +50,29 @@ type Match struct {
 // threshold.
 var ErrNoMatch = errors.New("sax: no match within threshold")
 
-// numShards is the fixed shard count of the entry store. Sixteen shards keep
-// the per-shard mutexes uncontended for worker pools well past NumCPU on
-// typical hosts while the fixed power of two keeps shard selection a mask.
-const numShards = 16
-
-// concurrentScanMin is the dictionary size below which a concurrent shard
-// scan is not worth the goroutine fan-out, even when scan workers are
-// configured.
-const concurrentScanMin = 256
-
-// shard is one lock-striped slice of the entry store. Entries are append-only
-// and immutable once inserted: a lookup may retain *Entry pointers taken
-// under the read lock and keep reading them after release, because Add never
-// rewrites an existing element (append either extends in place or copies to
-// a fresh array).
-type shard struct {
-	mu      sync.RWMutex
-	entries []Entry
-}
-
-// shardIndex hashes a label onto a shard (FNV-1a).
-func shardIndex(label string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(label))
-	return int(h.Sum32() & (numShards - 1))
-}
-
 // Database is a thread-safe collection of labelled reference words/series
 // with rotation- and mirror-invariant nearest lookup. It is the "database of
 // strings" from the paper's §IV against which captured signs are compared.
 //
-// Entries are sharded by label hash behind per-shard read-write locks, so a
-// worker pool's concurrent lookups never serialise against each other and an
-// Add only briefly blocks readers of one shard. Lookup runs a three-stage
-// pruning cascade (symbol-histogram lower bound → rotation-windowed MINDIST
-// → exact alignment, each stage cut off against the best distance so far);
-// LookupZLinear retains the unpruned linear scan as the reference
-// implementation and benchmark baseline.
+// Entries live in one append-only slice in insertion (seq) order behind one
+// read-write lock — the same layout as the on-disk store's unsealed tail. A
+// lookup takes the slice header under the read lock and then reads
+// lock-free: Add never rewrites an existing element (append either extends
+// in place or copies to a fresh array), so concurrent lookups never
+// serialise against each other and an Add only briefly blocks them. Lookup
+// runs a three-stage pruning cascade (symbol-histogram lower bound →
+// rotation-windowed MINDIST → exact alignment, each stage cut off against
+// the best distance so far); LookupZLinear retains the unpruned linear scan
+// as the reference implementation and benchmark baseline.
 type Database struct {
 	enc *Encoder
 	n   int // canonical series length
 
-	cfgMu       sync.RWMutex
-	shiftFrac   float64 // fraction of the series length the shift search may cover (≤0: full)
-	scanWorkers int     // >1 enables the concurrent shard scan for large dictionaries
+	mu        sync.RWMutex
+	shiftFrac float64 // fraction of the series length the shift search may cover (≤0: full)
+	entries   []Entry // append-only; entries[i].seq == i+1
 
-	seqCounter atomic.Uint64
-	count      atomic.Int64
-	shards     [numShards]shard
-
-	// corpus adapts the shards to the cascade kernel (see lookup.go); kept
+	// corpus adapts the entries to the cascade kernel (see lookup.go); kept
 	// as a field so the Corpus interface conversion never allocates.
 	corpus dbCorpus
 }
@@ -129,54 +99,37 @@ func (db *Database) Encoder() *Encoder { return db.enc }
 // window preserves tolerance to modest in-plane rotation while preventing a
 // gross rotation from aliasing one sign's lobe pattern onto another's.
 func (db *Database) SetShiftWindowFrac(frac float64) {
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.shiftFrac = frac
 }
 
-// SetScanWorkers enables (>1) or disables (≤1, the default) the concurrent
-// shard scan: stage 0 of the lookup cascade fans the per-shard histogram
-// pass over up to workers goroutines once the dictionary holds at least 256
-// entries. The fan-out allocates per call, so the serial default remains the
-// right choice for small dictionaries and allocation-sensitive callers.
-func (db *Database) SetScanWorkers(workers int) {
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.scanWorkers = workers
-}
-
-// params snapshots the window bounds (-1 = unbounded) and scan-worker count.
-func (db *Database) params() (wordWin, seriesWin, workers int) {
-	db.cfgMu.RLock()
-	frac := db.shiftFrac
-	workers = db.scanWorkers
-	db.cfgMu.RUnlock()
+// ShiftWindows converts a shift-window fraction (see
+// Database.SetShiftWindowFrac) into the rotation bounds of the cascade for
+// words of the given segment count over series of length n: -1 (unbounded)
+// for frac ≤ 0. The word bound carries a one-symbol safety margin over the
+// scaled-down series bound. Both dictionary backends derive their windows
+// here, so they always agree.
+func ShiftWindows(frac float64, segments, n int) (wordWin, seriesWin int) {
 	if frac <= 0 {
-		return -1, -1, workers
+		return -1, -1
 	}
-	// The word bound carries a one-symbol safety margin over the scaled-down
-	// series bound.
-	return int(frac*float64(db.enc.Segments())) + 1, int(frac * float64(db.n)), workers
+	return int(frac*float64(segments)) + 1, int(frac * float64(n))
 }
 
-// seriesShift returns the series-level shift bound (-1 = unbounded).
-func (db *Database) seriesShift() int {
-	_, s, _ := db.params()
-	return s
-}
-
-// wordShift returns the word-level shift bound matching seriesShift, with a
-// one-symbol safety margin (-1 = unbounded).
-func (db *Database) wordShift() int {
-	w, _, _ := db.params()
-	return w
+// params snapshots the window bounds (-1 = unbounded).
+func (db *Database) params() (wordWin, seriesWin int) {
+	db.mu.RLock()
+	frac := db.shiftFrac
+	db.mu.RUnlock()
+	return ShiftWindows(frac, db.enc.Segments(), db.n)
 }
 
 // SeriesLen returns the canonical signature length.
 func (db *Database) SeriesLen() int { return db.n }
 
 // Len returns the number of entries.
-func (db *Database) Len() int { return int(db.count.Load()) }
+func (db *Database) Len() int { return len(db.snapshot()) }
 
 // Add registers a labelled reference series. The series is resampled to the
 // canonical length, z-normalised, encoded and stored. Duplicate labels are
@@ -199,20 +152,22 @@ func (db *Database) Add(label string, s timeseries.Series) error {
 }
 
 // insert stores an already prepared (canonical-length, z-normalised,
-// encoded) entry into its label's shard.
+// encoded) entry. The derived forms are built outside the lock; the seq is
+// assigned under it, so slice order is seq order.
 func (db *Database) insert(label string, w Word, z timeseries.Series) {
-	e := newEntry(label, w, z)
-	e.seq = db.seqCounter.Add(1)
-	sh := &db.shards[shardIndex(label)]
-	sh.mu.Lock()
-	sh.entries = append(sh.entries, e)
-	sh.mu.Unlock()
-	db.count.Add(1)
+	e := NewEntry(0, label, w, z)
+	db.mu.Lock()
+	e.seq = uint64(len(db.entries)) + 1
+	db.entries = append(db.entries, e)
+	db.mu.Unlock()
 }
 
-// newEntry builds an entry with its mirrored candidate and symbol histogram
-// precomputed.
-func newEntry(label string, w Word, z timeseries.Series) Entry {
+// NewEntry builds the in-memory form of one prepared entry (z canonical-
+// length and z-normalised, w its encoding) with global insertion sequence
+// number seq, precomputing its mirrored candidate and symbol histogram. It
+// is the one constructor for in-memory entries: the Database and the
+// on-disk store's unsealed tail both hold its values.
+func NewEntry(seq uint64, label string, w Word, z timeseries.Series) Entry {
 	return Entry{
 		Label:     label,
 		Word:      w,
@@ -220,40 +175,30 @@ func newEntry(label string, w Word, z timeseries.Series) Entry {
 		revSeries: z.Reverse().Rotate(-1),
 		revWord:   w.Reverse().Rotate(-1),
 		hist:      histOf(w),
+		seq:       seq,
 	}
 }
 
-// collect returns a copy of all entries in shard order (no global
-// ordering). Every shard read lock is held for the duration of the copy —
-// locks are taken in index order, and Add only ever takes one — so the copy
-// is a point-in-time snapshot even with concurrent writers: Save and the
-// reporting helpers can never observe a later insertion while missing an
-// earlier one.
-func (db *Database) collect() []Entry {
-	for si := range db.shards {
-		db.shards[si].mu.RLock()
-	}
-	out := make([]Entry, 0, db.Len())
-	for si := range db.shards {
-		out = append(out, db.shards[si].entries...)
-	}
-	for si := range db.shards {
-		db.shards[si].mu.RUnlock()
-	}
-	return out
-}
+// Seq returns the entry's global insertion sequence number.
+func (e *Entry) Seq() uint64 { return e.seq }
 
-// snapshot returns a copy of all entries in insertion (seq) order.
+// Hist returns the entry's symbol histogram. The slice is shared: callers
+// must not modify it.
+func (e *Entry) Hist() []uint16 { return e.hist }
+
+// snapshot returns the entries in insertion (seq) order as a point-in-time
+// slice header: the backing array is append-only immutable, so callers read
+// it lock-free but must not modify it.
 func (db *Database) snapshot() []Entry {
-	out := db.collect()
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.entries
 }
 
 // Entries returns a copy of the registered entries, sorted by label then
 // word, for reporting.
 func (db *Database) Entries() []Entry {
-	out := db.collect()
+	out := append([]Entry(nil), db.snapshot()...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Label != out[j].Label {
 			return out[i].Label < out[j].Label
@@ -261,19 +206,6 @@ func (db *Database) Entries() []Entry {
 		return out[i].Word.Symbols < out[j].Word.Symbols
 	})
 	return out
-}
-
-// ShardSizes reports the entry count per shard (diagnostics: cmd/signdb
-// -inspect uses it to show the lock-striping balance).
-func (db *Database) ShardSizes() [numShards]int {
-	var sizes [numShards]int
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		sizes[si] = len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return sizes
 }
 
 // Lookup finds the nearest entry to the query series under the rotation- and
@@ -300,31 +232,14 @@ func (db *Database) Lookup(q timeseries.Series, threshold float64) (Match, error
 // own LookupScratch and use LookupZWith for the zero-allocation steady
 // state.
 func (db *Database) LookupZ(z timeseries.Series, qw Word, threshold float64) (Match, error) {
-	sc := lookupScratchPool.Get().(*LookupScratch)
-	defer lookupScratchPool.Put(sc)
-	return db.LookupZWith(sc, z, qw, threshold)
+	return LookupZOn(db, nil, z, qw, threshold)
 }
 
 // LookupZWith is LookupZ using the caller's reusable scratch — the
 // allocation-free steady-state path. A scratch must not be shared between
 // concurrent lookups.
 func (db *Database) LookupZWith(sc *LookupScratch, z timeseries.Series, qw Word, threshold float64) (Match, error) {
-	if sc == nil {
-		return db.LookupZ(z, qw, threshold)
-	}
-	res, err := db.LookupKZWith(sc, z, qw, 1, sc.one[:0])
-	sc.one = res[:0]
-	if err != nil {
-		return Match{}, err
-	}
-	if len(res) == 0 {
-		return Match{}, ErrNoMatch
-	}
-	best := res[0]
-	if math.IsInf(best.Dist, 1) || best.Dist > threshold {
-		return best, ErrNoMatch
-	}
-	return best, nil
+	return LookupZOn(db, sc, z, qw, threshold)
 }
 
 // LookupK returns the (up to) k nearest entries to the query series under
@@ -420,52 +335,45 @@ func (db *Database) LookupZLinear(z timeseries.Series, qw Word, threshold float6
 	if qw.Alphabet != db.enc.AlphabetSize() || len(qw.Symbols) != db.enc.Segments() {
 		return Match{}, ErrWordMismatch
 	}
-	wordWin, seriesWin, _ := db.params()
+	wordWin, seriesWin := db.params()
 	best := Match{Dist: math.Inf(1), WordDist: math.Inf(1)}
-	bestSeq := uint64(math.MaxUint64)
 	found := false
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for i := range sh.entries {
-			e := &sh.entries[i]
-			lb, _, err := db.enc.MinDistRotationWindow(qw, e.Word, db.n, wordWin)
-			if err != nil {
-				sh.mu.RUnlock()
-				return Match{}, err
-			}
-			if lbRev, _, err := db.enc.MinDistRotationWindow(qw, e.revWord, db.n, wordWin); err != nil {
-				sh.mu.RUnlock()
-				return Match{}, err
-			} else if lbRev < lb {
-				lb = lbRev
-			}
-			d, shift, err := timeseries.MinRotationDistWindow(z, e.Series, seriesWin)
-			if err != nil {
-				sh.mu.RUnlock()
-				return Match{}, err
-			}
-			mirrored := false
-			if dRev, sRev, err := timeseries.MinRotationDistWindow(z, e.revSeries, seriesWin); err != nil {
-				sh.mu.RUnlock()
-				return Match{}, err
-			} else if dRev < d {
-				d, shift, mirrored = dRev, sRev, true
-			}
-			if d < best.Dist || (d == best.Dist && e.seq < bestSeq) {
-				best = Match{
-					Label:    e.Label,
-					Word:     e.Word,
-					WordDist: lb,
-					Dist:     d,
-					Shift:    shift,
-					Mirrored: mirrored,
-				}
-				bestSeq = e.seq
-				found = true
-			}
+	// Entries are visited in seq order, so a strict < keeps the earliest of
+	// an exact tie — the cascade's tie break; the == arm admits a first
+	// entry at +Inf.
+	entries := db.snapshot()
+	for i := range entries {
+		e := &entries[i]
+		lb, _, err := db.enc.MinDistRotationWindow(qw, e.Word, db.n, wordWin)
+		if err != nil {
+			return Match{}, err
 		}
-		sh.mu.RUnlock()
+		if lbRev, _, err := db.enc.MinDistRotationWindow(qw, e.revWord, db.n, wordWin); err != nil {
+			return Match{}, err
+		} else if lbRev < lb {
+			lb = lbRev
+		}
+		d, shift, err := timeseries.MinRotationDistWindow(z, e.Series, seriesWin)
+		if err != nil {
+			return Match{}, err
+		}
+		mirrored := false
+		if dRev, sRev, err := timeseries.MinRotationDistWindow(z, e.revSeries, seriesWin); err != nil {
+			return Match{}, err
+		} else if dRev < d {
+			d, shift, mirrored = dRev, sRev, true
+		}
+		if d < best.Dist || (!found && d == best.Dist) {
+			best = Match{
+				Label:    e.Label,
+				Word:     e.Word,
+				WordDist: lb,
+				Dist:     d,
+				Shift:    shift,
+				Mirrored: mirrored,
+			}
+			found = true
+		}
 	}
 	if !found {
 		return Match{}, ErrNoMatch
@@ -487,9 +395,10 @@ func (db *Database) PairwiseMinDist() (labels []string, d [][]float64, err error
 		labels[i] = entries[i].Label
 		d[i] = make([]float64, len(entries))
 	}
+	wordWin, _ := db.params()
 	for i := range entries {
 		for j := i + 1; j < len(entries); j++ {
-			v, _, _, merr := db.enc.MinDistRotationMirrorWindow(entries[i].Word, entries[j].Word, db.n, db.wordShift())
+			v, _, _, merr := db.enc.MinDistRotationMirrorWindow(entries[i].Word, entries[j].Word, db.n, wordWin)
 			if merr != nil {
 				return nil, nil, merr
 			}
@@ -510,9 +419,10 @@ func (db *Database) PairwiseExactDist() (labels []string, d [][]float64, err err
 		labels[i] = entries[i].Label
 		d[i] = make([]float64, len(entries))
 	}
+	_, seriesWin := db.params()
 	for i := range entries {
 		for j := i + 1; j < len(entries); j++ {
-			v, _, _, merr := timeseries.MinRotationMirrorDistWindow(entries[i].Series, entries[j].Series, db.seriesShift())
+			v, _, _, merr := timeseries.MinRotationMirrorDistWindow(entries[i].Series, entries[j].Series, seriesWin)
 			if merr != nil {
 				return nil, nil, merr
 			}

@@ -11,7 +11,7 @@ import (
 	"hdc/internal/timeseries"
 )
 
-// equivalence_test.go property-tests the indexed/sharded cascade against the
+// equivalence_test.go property-tests the indexed cascade against the
 // retained linear-scan reference: over randomized dictionaries and rotated/
 // mirrored/noisy queries, LookupZWith must return byte-identical Match
 // results to LookupZLinear — same label, same word, same word distance, same
@@ -32,8 +32,7 @@ func randSmoothSeries(rng *rand.Rand, n int) timeseries.Series {
 }
 
 // buildRandomDB fills a database with nEntries random shapes spread over
-// nLabels labels (duplicate labels = multiple exemplars, exercising shard
-// collisions).
+// nLabels labels (duplicate labels = multiple exemplars).
 func buildRandomDB(t testing.TB, rng *rand.Rand, nEntries, nLabels, n int) *Database {
 	t.Helper()
 	enc, err := NewEncoder(16, 6)
@@ -74,7 +73,7 @@ func queryVariants(rng *rand.Rand, base timeseries.Series, n int) []timeseries.S
 func TestCascadeMatchesLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	const n = 128
-	sizes := []int{1, 3, 17, 120}
+	sizes := []int{1, 3, 17, 120, 300}
 	for _, size := range sizes {
 		db := buildRandomDB(t, rng, size, size/3+1, n)
 		// Exercise both window settings: full rotation search and bounded.
@@ -123,7 +122,7 @@ func TestLookupKMatchesBruteForce(t *testing.T) {
 	const n = 128
 	db := buildRandomDB(t, rng, 40, 11, n)
 	sc := NewLookupScratch()
-	wordWin, seriesWin, _ := db.params()
+	wordWin, seriesWin := db.params()
 
 	for trial := 0; trial < 15; trial++ {
 		q := randSmoothSeries(rng, n)
@@ -204,34 +203,5 @@ func TestLookupKMargin(t *testing.T) {
 	two := []Match{{Dist: 1}, {Dist: 4}}
 	if abs, rel := Margin(two); abs != 3 || rel != 0.75 {
 		t.Fatalf("margin = (%v, %v)", abs, rel)
-	}
-}
-
-// TestLookupConcurrentScanEquivalence: the concurrent shard scan must return
-// exactly what the serial scan returns, for dictionaries above and below the
-// engagement threshold.
-func TestLookupConcurrentScanEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(227))
-	const n = 64
-	for _, size := range []int{60, 300} {
-		db := buildRandomDB(t, rng, size, 23, n)
-		sc := NewLookupScratch()
-		for trial := 0; trial < 10; trial++ {
-			q := randSmoothSeries(rng, n)
-			z := q.ZNormalize()
-			qw, err := db.Encoder().Encode(z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db.SetScanWorkers(0)
-			serial, serialErr := db.LookupZWith(sc, z, qw, math.Inf(1))
-			db.SetScanWorkers(4)
-			conc, concErr := db.LookupZWith(sc, z, qw, math.Inf(1))
-			db.SetScanWorkers(0)
-			if (serialErr == nil) != (concErr == nil) || serial != conc {
-				t.Fatalf("size=%d: concurrent scan diverged: %+v (%v) vs %+v (%v)",
-					size, conc, concErr, serial, serialErr)
-			}
-		}
 	}
 }

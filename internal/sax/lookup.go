@@ -2,17 +2,16 @@ package sax
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hdc/internal/timeseries"
 )
 
-// lookup.go binds the database's sharded in-memory store to the three-stage
-// pruning cascade of cascade.go:
+// lookup.go binds in-memory entry slices — the Database's, and the on-disk
+// store's unsealed tail — to the three-stage pruning cascade of cascade.go:
 //
 //	stage 0 — symbol-histogram lower bound (rotation/mirror invariant,
 //	          O(alphabet) per entry, see histogram.go), computed for every
-//	          entry from a point-in-time snapshot of each shard;
+//	          entry of a point-in-time snapshot of the entry slice;
 //	stage 1 — rotation-windowed MINDIST over the word and its cached mirror,
 //	          early-abandoned against the best exact distance so far;
 //	stage 2 — exact rotation/mirror alignment at series level, likewise
@@ -50,11 +49,10 @@ type LookupScratch struct {
 	matchSeq []uint64
 	one      []Match // backing store for LookupZWith's single result
 
-	// shardSnap holds the per-shard entry-slice snapshots taken during
-	// stage 0, so candidate references stay resolvable lock-free for the
-	// rest of the lookup (the backing arrays are append-only immutable).
-	shardSnap [numShards][]Entry
-	shardBufs [numShards][]cand
+	// snap is the Database entry-slice snapshot taken during stage 0, so
+	// candidate references stay resolvable lock-free for the rest of the
+	// lookup (the backing array is append-only immutable).
+	snap []Entry
 
 	// viewW/viewS are the mirror buffers handed out by ViewScratch for
 	// corpora that materialise mirror candidates on demand (the on-disk
@@ -78,45 +76,20 @@ var lookupScratchPool = sync.Pool{
 	New: func() any { return NewLookupScratch() },
 }
 
-// Shard references pack (shard index, entry index) into the cascade's opaque
-// 64-bit candidate reference.
-const dbRefShardShift = 48
-
-// dbCorpus adapts the sharded store to the cascade's Corpus interface. The
-// value lives inside the Database so the interface conversion never
-// allocates.
-type dbCorpus struct{ db *Database }
-
-// ScanHist implements Corpus: the stage-0 histogram pass over every shard.
-// Each shard's entry slice is snapshotted under its read lock (a header
-// copy; the backing array is append-only immutable), then the bounds are
-// computed lock-free. With SetScanWorkers the pass fans out over the shards
-// for large dictionaries.
-func (c *dbCorpus) ScanHist(sc *LookupScratch, qh []uint16) {
-	db := c.db
-	_, _, workers := db.params()
-	if workers > 1 && int(db.count.Load()) >= concurrentScanMin {
-		c.scanConcurrent(sc, qh, workers)
-		return
-	}
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		snap := sh.entries
-		sh.mu.RUnlock()
-		sc.shardSnap[si] = snap
-		ref := uint64(si) << dbRefShardShift
-		for i := range snap {
-			e := &snap[i]
-			sc.AppendCandidate(ref|uint64(i), e.seq, db.enc.histLowerBound(qh, e.hist, db.n))
-		}
+// ScanEntries runs stage 0 of the cascade over an in-memory entry slice
+// for a corpus of series length n: entry i is recorded as candidate
+// reference i with its insertion seq. Corpus implementations holding Entry
+// values call it from ScanHist and resolve the references with Entry.View.
+func ScanEntries(sc *LookupScratch, enc *Encoder, n int, qh []uint16, entries []Entry) {
+	for i := range entries {
+		e := &entries[i]
+		sc.AppendCandidate(uint64(i), e.seq, enc.histLowerBound(qh, e.hist, n))
 	}
 }
 
-// View implements Corpus by resolving the packed (shard, index) reference
-// against the snapshots taken in ScanHist.
-func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
-	e := &sc.shardSnap[ref>>dbRefShardShift][ref&(1<<dbRefShardShift-1)]
+// View returns the cascade's read model of the entry, with its precomputed
+// mirror candidates.
+func (e *Entry) View() EntryView {
 	return EntryView{
 		Label:     e.Label,
 		Word:      e.Word,
@@ -126,51 +99,21 @@ func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
 	}
 }
 
-// scanConcurrent fans the stage-0 histogram pass over the shards with up to
-// workers goroutines — the same bounded-fan-out discipline as the pipeline's
-// worker pool — then concatenates the per-shard buffers in shard order so
-// the result is deterministic regardless of scheduling. Worth it only for
-// large dictionaries: the fan-out allocates, which is why it is gated behind
-// SetScanWorkers and concurrentScanMin.
-func (c *dbCorpus) scanConcurrent(sc *LookupScratch, qh []uint16, workers int) {
-	db := c.db
-	if workers > numShards {
-		workers = numShards
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= numShards {
-					return
-				}
-				sh := &db.shards[si]
-				sh.mu.RLock()
-				snap := sh.entries
-				sh.mu.RUnlock()
-				sc.shardSnap[si] = snap
-				buf := sc.shardBufs[si][:0]
-				ref := uint64(si) << dbRefShardShift
-				for i := range snap {
-					e := &snap[i]
-					buf = append(buf, cand{
-						ref: ref | uint64(i),
-						seq: e.seq,
-						lb:  db.enc.histLowerBound(qh, e.hist, db.n),
-					})
-				}
-				sc.shardBufs[si] = buf
-			}
-		}()
-	}
-	wg.Wait()
-	for si := range sc.shardBufs {
-		sc.cands = append(sc.cands, sc.shardBufs[si]...)
-	}
+// dbCorpus adapts the Database to the cascade's Corpus interface. The value
+// lives inside the Database so the interface conversion never allocates.
+type dbCorpus struct{ db *Database }
+
+// ScanHist implements Corpus: the stage-0 histogram pass over a snapshot of
+// the entry slice, taken under one read lock and then scanned lock-free.
+func (c *dbCorpus) ScanHist(sc *LookupScratch, qh []uint16) {
+	sc.snap = c.db.snapshot()
+	ScanEntries(sc, c.db.enc, c.db.n, qh, sc.snap)
+}
+
+// View implements Corpus by resolving the reference — an index — against
+// the snapshot taken in ScanHist.
+func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
+	return sc.snap[ref].View()
 }
 
 // LookupKZWith is the database's entry to the cascade kernel: it finds the
@@ -181,7 +124,7 @@ func (c *dbCorpus) scanConcurrent(sc *LookupScratch, qh []uint16, workers int) {
 // is applied (see LookupK). The scratch must not be shared between
 // concurrent lookups.
 func (db *Database) LookupKZWith(sc *LookupScratch, z timeseries.Series, qw Word, k int, dst []Match) ([]Match, error) {
-	wordWin, seriesWin, _ := db.params()
+	wordWin, seriesWin := db.params()
 	return CascadeLookupKZ(sc, &db.corpus, db.enc, db.n, wordWin, seriesWin, z, qw, k, dst)
 }
 

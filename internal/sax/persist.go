@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"hdc/internal/timeseries"
 )
@@ -47,19 +46,18 @@ type V1Header struct {
 }
 
 // Save writes the database (encoder parameters + every entry) as version-1
-// JSON. The in-memory shard layout is not part of the format: entries are
-// written in insertion order (a streaming 16-way merge over the shards — no
-// intermediate copy of the dictionary is materialised) and re-sharded by
-// label hash on Load. Files up to saveIndentMax entries are indented;
-// larger ones are compact, so saving 10⁶ entries buffers one entry at a
-// time instead of triple-buffering the dictionary.
+// JSON. Entries are written in insertion order from a point-in-time
+// snapshot of the entry slice (no copy of the dictionary is materialised),
+// so Load re-adds them in the same order. Files up to saveIndentMax entries
+// are indented; larger ones are compact, so saving 10⁶ entries buffers one
+// entry at a time instead of triple-buffering the dictionary.
 func (db *Database) Save(w io.Writer) error {
-	db.cfgMu.RLock()
-	shiftFrac := db.shiftFrac
-	db.cfgMu.RUnlock()
+	db.mu.RLock()
+	shiftFrac, entries := db.shiftFrac, db.entries
+	db.mu.RUnlock()
 
 	bw := bufio.NewWriter(w)
-	indent := db.Len() <= saveIndentMax
+	indent := len(entries) <= saveIndentMax
 	if indent {
 		fmt.Fprintf(bw, "{\n  \"version\": %d,\n  \"segments\": %d,\n  \"alphabet\": %d,\n  \"series_len\": %d,\n",
 			currentVersion, db.enc.Segments(), db.enc.AlphabetSize(), db.n)
@@ -80,8 +78,8 @@ func (db *Database) Save(w io.Writer) error {
 		fmt.Fprint(bw, "\"entries\":[")
 	}
 
-	first := true
-	err := db.forEachInOrder(func(e *Entry) error {
+	for i := range entries {
+		e := &entries[i]
 		ef := entryFile{Label: e.Label, Word: e.Word.Symbols, Series: e.Series}
 		var b []byte
 		var err error
@@ -93,21 +91,18 @@ func (db *Database) Save(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if !first {
+		if i > 0 {
 			bw.WriteByte(',')
 		}
-		first = false
 		if indent {
 			bw.WriteString("\n    ")
 		}
-		_, err = bw.Write(b)
-		return err
-	})
-	if err != nil {
-		return err
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
 	}
 	if indent {
-		if !first {
+		if len(entries) > 0 {
 			bw.WriteString("\n  ")
 		}
 		bw.WriteString("]\n}\n")
@@ -130,40 +125,6 @@ func writeJSONField(w *bufio.Writer, pad, key string, v any) error {
 		fmt.Fprintf(w, "%s%q: %s,\n", pad, key, b)
 	}
 	return nil
-}
-
-// forEachInOrder calls fn for every entry in insertion (seq) order while
-// holding every shard read lock (taken in index order, like collect), so the
-// iteration is a point-in-time snapshot that uses O(1) extra memory.
-func (db *Database) forEachInOrder(fn func(e *Entry) error) error {
-	for si := range db.shards {
-		db.shards[si].mu.RLock()
-	}
-	defer func() {
-		for si := range db.shards {
-			db.shards[si].mu.RUnlock()
-		}
-	}()
-	var idx [numShards]int
-	for {
-		best := -1
-		bestSeq := uint64(math.MaxUint64)
-		for si := range db.shards {
-			if i := idx[si]; i < len(db.shards[si].entries) {
-				if s := db.shards[si].entries[i].seq; s < bestSeq {
-					best, bestSeq = si, s
-				}
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		e := &db.shards[best].entries[idx[best]]
-		idx[best]++
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
 }
 
 // DecodeV1 stream-decodes a version-1 JSON database: onHeader is called once

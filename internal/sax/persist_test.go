@@ -2,6 +2,7 @@ package sax
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -89,5 +90,67 @@ func TestSaveIsStable(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("Save output is not deterministic")
+	}
+}
+
+// TestSaveInsertionOrder pins the file's entry order to Add order, with
+// labels interleaved so neither label order nor any label-keyed layout can
+// pass by accident, and checks Save → Load → Save reproduces the file byte
+// for byte.
+func TestSaveInsertionOrder(t *testing.T) {
+	enc, err := NewEncoder(16, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDatabase(enc, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetShiftWindowFrac(0.2)
+	labels := []string{"zulu", "alpha", "mike", "alpha", "zulu", "bravo", "mike", "alpha", "yankee", "bravo"}
+	kinds := []string{"two-lobe", "three-lobe", "spike"}
+	var want []entryFile
+	for i, label := range labels {
+		s := shapeSignature(kinds[i%len(kinds)], 128, 0.3*float64(i), 0, nil)
+		if err := db.Add(label, s); err != nil {
+			t.Fatal(err)
+		}
+		w, err := enc.Encode(s.ZNormalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, entryFile{Label: label, Word: w.Symbols})
+	}
+
+	var first bytes.Buffer
+	if err := db.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Entries []entryFile `json:"entries"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Entries) != len(want) {
+		t.Fatalf("saved %d entries, want %d", len(file.Entries), len(want))
+	}
+	for i, e := range file.Entries {
+		if e.Label != want[i].Label || e.Word != want[i].Word {
+			t.Fatalf("entry %d saved as (%s, %s), want Add order (%s, %s)",
+				i, e.Label, e.Word, want[i].Label, want[i].Word)
+		}
+	}
+
+	loaded, err := Load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := loaded.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("Save → Load → Save changed the file:\n%s\nvs\n%s", first.String(), second.String())
 	}
 }

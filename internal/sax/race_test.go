@@ -90,11 +90,12 @@ func TestDatabaseConcurrentLookupAdd(t *testing.T) {
 	}
 }
 
-// TestDatabaseConcurrentShardedLookup drives the sharded store the way a
-// fleet-scale deployment does: a dictionary large enough to engage the
-// concurrent shard scan, per-worker scratches issuing LookupZWith/LookupKZWith,
-// and adders landing entries across shards the whole time. Run with -race.
-func TestDatabaseConcurrentShardedLookup(t *testing.T) {
+// TestDatabaseConcurrentScratchLookup drives the database the way a
+// fleet-scale deployment does: a few hundred entries, per-worker scratches
+// issuing LookupZWith/LookupKZWith, and adders appending to the entry slice
+// the whole time (growing it past its capacity, so lookups keep scanning
+// snapshots whose backing array Add has since replaced). Run with -race.
+func TestDatabaseConcurrentScratchLookup(t *testing.T) {
 	enc, err := NewEncoder(16, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,6 @@ func TestDatabaseConcurrentShardedLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetScanWorkers(4)
 
 	mkSeries := func(seed int64) timeseries.Series {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,7 +113,6 @@ func TestDatabaseConcurrentShardedLookup(t *testing.T) {
 		}
 		return s
 	}
-	// Big enough that the concurrent scan path engages (≥ concurrentScanMin).
 	const seedEntries = 300
 	for i := 0; i < seedEntries; i++ {
 		if err := db.Add(fmt.Sprintf("label-%03d", i%37), mkSeries(int64(i))); err != nil {

@@ -28,7 +28,7 @@ const refSegShift = 40
 type lookupView struct {
 	s    *Store
 	segs []*segment
-	tail []tailEntry
+	tail []sax.Entry
 }
 
 // ScanHist implements sax.Corpus: the stage-0 histogram pass over every
@@ -44,10 +44,7 @@ func (lv *lookupView) ScanHist(sc *sax.LookupScratch, qh []uint16) {
 			sc.AppendCandidate(ref|uint64(i), base+uint64(i), lb)
 		}
 	}
-	for i := range lv.tail {
-		e := &lv.tail[i]
-		sc.AppendCandidate(uint64(i), e.seq, enc.HistLowerBoundRaw(qh, e.hist, n))
-	}
+	sax.ScanEntries(sc, enc, n, qh, lv.tail)
 }
 
 // View implements sax.Corpus. Tail entries carry their precomputed mirrors;
@@ -58,14 +55,7 @@ func (lv *lookupView) View(sc *sax.LookupScratch, ref uint64) sax.EntryView {
 	idx := int(ref & (1<<refSegShift - 1))
 	si := int(ref >> refSegShift)
 	if si == 0 {
-		e := &lv.tail[idx]
-		return sax.EntryView{
-			Label:     e.label,
-			Word:      e.word,
-			RevWord:   e.revWord,
-			Series:    e.series,
-			RevSeries: e.revSeries,
-		}
+		return lv.tail[idx].View()
 	}
 	sg := lv.segs[si-1]
 	word := sg.word(idx)

@@ -73,31 +73,6 @@ type Options struct {
 	SyncWrites bool
 }
 
-// tailEntry is one not-yet-sealed entry, held like a Database entry: with
-// its mirror candidates and histogram precomputed at append time.
-type tailEntry struct {
-	seq       uint64
-	label     string
-	word      sax.Word
-	revWord   sax.Word
-	series    timeseries.Series
-	revSeries timeseries.Series
-	hist      []uint16
-}
-
-// newTailEntry precomputes the lookup-side derived forms of one append.
-func newTailEntry(seq uint64, label string, w sax.Word, z timeseries.Series) tailEntry {
-	return tailEntry{
-		seq:       seq,
-		label:     label,
-		word:      w,
-		revWord:   w.Reverse().Rotate(-1),
-		series:    z,
-		revSeries: z.Reverse().Rotate(-1),
-		hist:      sax.HistogramOf(w),
-	}
-}
-
 // Store is an open segmented dictionary directory. Lookups and Adds are safe
 // to call concurrently (including during a background compaction); Close
 // must only be called once no lookup is in flight, because it unmaps the
@@ -111,10 +86,12 @@ type Store struct {
 	// mu guards the mutable view of the store. Lookups take a snapshot of
 	// segs/tail under RLock and then read lock-free: both are effectively
 	// immutable (segments always; the tail's backing array is append-only,
-	// and compaction re-slices rather than rewrites).
+	// and compaction re-slices rather than rewrites). The tail holds
+	// not-yet-sealed entries in seq order, laid out exactly like a
+	// sax.Database's entries.
 	mu        sync.RWMutex
 	segs      []*segment
-	tail      []tailEntry
+	tail      []sax.Entry
 	sealed    int // total entries across segs
 	nextSeq   uint64
 	shiftFrac float64
@@ -228,7 +205,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("%w: log record sequence %d breaks the run at %d",
 				ErrCorruptWAL, r.seq, mf.NextSeq+uint64(i))
 		}
-		s.tail = append(s.tail, newTailEntry(r.seq, r.label, sax.Word{Symbols: r.word, Alphabet: p.alphabet}, r.series))
+		s.tail = append(s.tail, sax.NewEntry(r.seq, r.label, sax.Word{Symbols: r.word, Alphabet: p.alphabet}, r.series))
 		s.nextSeq = r.seq + 1
 	}
 	w, err := openWAL(dir, opts.SyncWrites)
@@ -289,16 +266,12 @@ func (s *Store) SetShiftWindowFrac(frac float64) {
 	s.mu.Unlock()
 }
 
-// windows snapshots the rotation-window bounds (-1 = unbounded), mirroring
-// Database.params.
+// windows snapshots the rotation-window bounds (-1 = unbounded).
 func (s *Store) windows() (wordWin, seriesWin int) {
 	s.mu.RLock()
 	frac := s.shiftFrac
 	s.mu.RUnlock()
-	if frac <= 0 {
-		return -1, -1
-	}
-	return int(frac*float64(s.p.wordLen)) + 1, int(frac * float64(s.p.seriesLen))
+	return sax.ShiftWindows(frac, s.p.wordLen, s.p.seriesLen)
 }
 
 // Add registers a labelled reference series: resampled to the canonical
@@ -343,7 +316,7 @@ func (s *Store) Add(label string, series timeseries.Series) error {
 		return fmt.Errorf("store: log append: %w", err)
 	}
 	s.nextSeq = seq + 1
-	s.tail = append(s.tail, newTailEntry(seq, label, w, z))
+	s.tail = append(s.tail, sax.NewEntry(seq, label, w, z))
 	tailLen := len(s.tail)
 	s.mu.Unlock()
 
@@ -467,7 +440,7 @@ func (s *Store) compact(full bool) error {
 	recs := make([]walRecord, len(remaining))
 	for i := range remaining {
 		e := &remaining[i]
-		recs[i] = walRecord{seq: e.seq, label: e.label, word: e.word.Symbols, series: e.series}
+		recs[i] = walRecord{seq: e.Seq(), label: e.Label, word: e.Word.Symbols, series: e.Series}
 	}
 	if err := rewriteWAL(s.dir, recs, s.opts.SyncWrites, s.renameFn); err != nil {
 		s.failed = err
@@ -578,12 +551,12 @@ func (s *Store) CheckIntegrity() error {
 }
 
 // tailSource adapts the in-memory tail to the segment writer.
-type tailSource []tailEntry
+type tailSource []sax.Entry
 
 func (t tailSource) count() int { return len(t) }
 func (t tailSource) entry(i int) (string, string, []uint16, []float64) {
 	e := &t[i]
-	return e.label, e.word.Symbols, e.hist, e.series
+	return e.Label, e.Word.Symbols, e.Hist(), e.Series
 }
 
 // concatSources chains sources in order (compaction's merged view: sealed
