@@ -166,14 +166,6 @@ func (c Contour) SignatureNorm(n int, mode Normalization) (timeseries.Series, er
 	return c.signatureScratch(n, mode, nil)
 }
 
-// growF reslices buf to n elements, reallocating only when capacity is short.
-func growF(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // signatureScratch is SignatureNorm drawing its float planes and output from
 // s when s is non-nil (the returned series then aliases s.sig and is only
 // valid until the next use of s).
@@ -188,7 +180,7 @@ func (c Contour) signatureScratch(n int, mode Normalization, s *Scratch) (timese
 		if s == nil {
 			return make(timeseries.Series, n)
 		}
-		s.sig = timeseries.Series(growF([]float64(s.sig), n))
+		s.sig = timeseries.Series(grow([]float64(s.sig), n))
 		for i := range s.sig {
 			s.sig[i] = 0
 		}
@@ -203,8 +195,8 @@ func (c Contour) signatureScratch(n int, mode Normalization, s *Scratch) (timese
 		fx = make([]float64, m)
 		fy = make([]float64, m)
 	} else {
-		s.fx = growF(s.fx, m)
-		s.fy = growF(s.fy, m)
+		s.fx = grow(s.fx, m)
+		s.fy = grow(s.fy, m)
 		fx, fy = s.fx, s.fy
 	}
 	for i, p := range c {
@@ -235,7 +227,7 @@ func (c Contour) signatureScratch(n int, mode Normalization, s *Scratch) (timese
 	if s == nil {
 		arc = make([]float64, m+1)
 	} else {
-		s.arc = growF(s.arc, m+1)
+		s.arc = grow(s.arc, m+1)
 		arc = s.arc
 	}
 	arc[0] = 0
@@ -254,7 +246,7 @@ func (c Contour) signatureScratch(n int, mode Normalization, s *Scratch) (timese
 	if s == nil {
 		out = make(timeseries.Series, n)
 	} else {
-		s.sig = timeseries.Series(growF([]float64(s.sig), n))
+		s.sig = timeseries.Series(grow([]float64(s.sig), n))
 		out = s.sig
 	}
 	seg := 0

@@ -6,7 +6,7 @@ import (
 )
 
 // Scratch owns every buffer the §IV vision front half needs — threshold
-// mask, morphology ping/pong planes, component labels, contour storage and
+// mask, packed morphology planes, component labels, contour storage and
 // the signature's float planes — so one recognition worker can process an
 // unbounded stream of frames without steady-state allocations. A Scratch is
 // not safe for concurrent use: give each goroutine its own. (Pooling lives
@@ -14,10 +14,9 @@ import (
 // lookup scratch, so there is a single pool for the whole recognition lane
 // rather than one per layer.)
 type Scratch struct {
-	mask *Binary // binarised frame, cleaned in place
-	tmpA *Binary // morphology scratch
-	tmpB *Binary // morphology scratch
-	comp *Binary // largest-component mask
+	mask  *Binary // binarised frame, cleaned in place
+	morph planes  // packed morphology planes
+	comp  *Binary // largest-component mask
 
 	labels  []int32
 	parent  []int32
@@ -32,8 +31,6 @@ type Scratch struct {
 func NewScratch() *Scratch {
 	return &Scratch{
 		mask: &Binary{},
-		tmpA: &Binary{},
-		tmpB: &Binary{},
 		comp: &Binary{},
 	}
 }
@@ -45,19 +42,19 @@ func (s *Scratch) Binarize(g *raster.Gray) *Binary {
 }
 
 // Clean applies the recogniser's morphological clean-up (open then close,
-// radius r) to mask in place, using the scratch's ping/pong planes. mask is
-// typically the scratch's own Binarize output.
+// radius r) to mask in place: it packs mask once into the scratch's word
+// planes, erodes, dilates, dilates and erodes there, and unpacks once. mask
+// is typically the scratch's own Binarize output.
 func (s *Scratch) Clean(mask *Binary, r int) *Binary {
-	OpenInto(mask, mask, r, s.tmpA, s.tmpB)
-	return CloseInto(mask, mask, r, s.tmpA, s.tmpB)
+	return s.morph.run(mask, mask, r, erodeOp, dilateOp, dilateOp, erodeOp)
 }
 
 // Open applies the morphological opening (erode then dilate, radius r) to
-// mask in place using the scratch's ping/pong planes, and returns mask. It is
+// mask in place using the scratch's packed planes, and returns mask. It is
 // the allocation-free counterpart of the package-level Open for callers (the
 // gesture front half) that do not want Clean's hole-filling close pass.
 func (s *Scratch) Open(mask *Binary, r int) *Binary {
-	return OpenInto(mask, mask, r, s.tmpA, s.tmpB)
+	return s.morph.run(mask, mask, r, erodeOp, dilateOp)
 }
 
 // LargestComponent is the allocation-free variant of the package-level
@@ -93,10 +90,10 @@ func (s *Scratch) ExtractSignatureNorm(mask *Binary, n int, mode Normalization) 
 	return sig, contour, comp, nil
 }
 
-// growI32 reslices buf to n elements, reallocating only when short.
-func growI32(buf []int32, n int) []int32 {
+// grow reslices buf to n elements, reallocating only when short.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -106,7 +103,7 @@ func growI32(buf []int32, n int) []int32 {
 // winning root only. The returned mask is s.comp.
 func (s *Scratch) largestComponent(b *Binary) (*Binary, Component, error) {
 	n := b.W * b.H
-	s.labels = growI32(s.labels, n)
+	s.labels = grow(s.labels, n)
 	labels := s.labels
 	for i := range labels {
 		labels[i] = 0
@@ -176,7 +173,7 @@ func (s *Scratch) largestComponent(b *Binary) (*Binary, Component, error) {
 	s.parent = parent
 
 	// Resolve roots and accumulate per-root areas.
-	s.area = growI32(s.area, len(parent))
+	s.area = grow(s.area, len(parent))
 	area := s.area
 	for i := range area {
 		area[i] = 0

@@ -66,7 +66,7 @@ func (b *Binary) Clone() *Binary {
 
 // Reset resizes b to w×h, reusing the pixel buffer when capacity allows, and
 // clears every pixel to background. It is the reusable-buffer counterpart of
-// NewBinary; the in-place morphology and thresholding variants build on it.
+// NewBinary.
 func (b *Binary) Reset(w, h int) {
 	n := w * h
 	if cap(b.Pix) < n {
@@ -98,8 +98,11 @@ func (b *Binary) CopyInto(dst *Binary) *Binary {
 // intensity that maximises between-class variance of the histogram.
 func OtsuThreshold(g *raster.Gray) uint8 {
 	hist := g.Histogram()
-	total := len(g.Pix)
+	return otsuLevel(&hist, len(g.Pix))
+}
 
+// otsuLevel is OtsuThreshold's search over a histogram of total pixels.
+func otsuLevel(hist *[256]int, total int) uint8 {
 	var sumAll float64
 	for i, c := range hist {
 		sumAll += float64(i) * float64(c)
@@ -153,23 +156,27 @@ func OtsuBinarize(g *raster.Gray) *Binary {
 }
 
 // OtsuBinarizeInto is OtsuBinarize writing the mask into dst (resized as
-// needed) instead of allocating. It decides the polarity from the histogram
-// alone, so no intermediate mask is built. dst must not be nil.
+// needed) instead of allocating. It reads g twice: once for the histogram,
+// which gives both the threshold and the polarity, and once to write the
+// mask through a 256-entry lookup table. dst must not be nil.
 func OtsuBinarizeInto(dst *Binary, g *raster.Gray) *Binary {
-	t := OtsuThreshold(g)
-	above := g.CountAbove(t)
+	hist := g.Histogram()
+	t := otsuLevel(&hist, len(g.Pix))
+	above := 0
+	for _, c := range hist[int(t)+1:] {
+		above += c
+	}
 	brightForeground := above <= len(g.Pix)-above
+	var fg [256]uint8
+	for v := range fg {
+		if (v > int(t)) == brightForeground {
+			fg[v] = 1
+		}
+	}
 	dst.resize(g.W, g.H)
+	pix := dst.Pix[:len(g.Pix)]
 	for i, p := range g.Pix {
-		fg := p > t
-		if !brightForeground {
-			fg = !fg
-		}
-		if fg {
-			dst.Pix[i] = 1
-		} else {
-			dst.Pix[i] = 0
-		}
+		pix[i] = fg[p]
 	}
 	return dst
 }
