@@ -60,3 +60,22 @@ func BenchmarkExtractSignatureNormalized(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScratchExtractSignature times the served contour step,
+// Scratch.ExtractSignatureNorm (labelling, Moore trace and 128-sample
+// whitened signature), on the cleaned 256×256 bench frame. The warm-up call
+// grows the scratch, so the timed calls run allocation-free.
+func BenchmarkScratchExtractSignature(b *testing.B) {
+	s := NewScratch()
+	mask := s.Clean(OtsuBinarize(benchFrame()), 1)
+	if _, _, _, err := s.ExtractSignatureNorm(mask, 128, NormWhiten); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := s.ExtractSignatureNorm(mask, 128, NormWhiten); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,7 +36,10 @@ func TraceContour(b *Binary, start Point) (Contour, error) {
 
 // TraceContourInto is TraceContour appending into buf (reset to length zero
 // first), so steady-state callers reuse one backing array. The returned
-// contour aliases buf's storage when capacity sufficed.
+// contour aliases buf's storage when capacity sufficed. b may hold other
+// components besides start's: tracing reads only the 8-neighbours of the
+// traced component's pixels, and any foreground 8-neighbour belongs to that
+// component, so only start's component is traced.
 func TraceContourInto(b *Binary, start Point, buf Contour) (Contour, error) {
 	if b.At(start.X, start.Y) == 0 {
 		return nil, errors.New("vision: start pixel is background")
@@ -366,17 +369,5 @@ func ExtractSignatureNormalized(mask *Binary, n int) (timeseries.Series, Contour
 
 // ExtractSignatureNorm is ExtractSignature under an explicit normalisation.
 func ExtractSignatureNorm(mask *Binary, n int, mode Normalization) (timeseries.Series, Contour, Component, error) {
-	blob, comp, err := LargestComponent(mask)
-	if err != nil {
-		return nil, nil, Component{}, err
-	}
-	contour, err := TraceContour(blob, Point{comp.FirstPix[0], comp.FirstPix[1]})
-	if err != nil {
-		return nil, nil, comp, err
-	}
-	sig, err := contour.SignatureNorm(n, mode)
-	if err != nil {
-		return nil, contour, comp, err
-	}
-	return sig, contour, comp, nil
+	return NewScratch().ExtractSignatureNorm(mask, n, mode)
 }

@@ -6,21 +6,19 @@ import (
 )
 
 // Scratch owns every buffer the §IV vision front half needs — threshold
-// mask, packed morphology planes, component labels, contour storage and
-// the signature's float planes — so one recognition worker can process an
-// unbounded stream of frames without steady-state allocations. A Scratch is
-// not safe for concurrent use: give each goroutine its own. (Pooling lives
-// one level up: recognizer.Scratch wraps this together with the database
-// lookup scratch, so there is a single pool for the whole recognition lane
-// rather than one per layer.)
+// mask, packed morphology planes, the run table of component labelling,
+// contour storage and the signature's float planes — so one recognition
+// worker can process an unbounded stream of frames without steady-state
+// allocations. A Scratch is not safe for concurrent use: give each goroutine
+// its own. (Pooling lives one level up: recognizer.Scratch wraps this
+// together with the database lookup scratch, so there is a single pool for
+// the whole recognition lane rather than one per layer.)
 type Scratch struct {
-	mask  *Binary // binarised frame, cleaned in place
-	morph planes  // packed morphology planes
-	comp  *Binary // largest-component mask
+	mask  *Binary  // binarised frame, cleaned in place
+	morph planes   // packed planes of morphology, then of labelling
+	lab   labeller // runs and components of the last labelling
+	comp  *Binary  // largest-component mask
 
-	labels  []int32
-	parent  []int32
-	area    []int32
 	contour Contour
 	fx, fy  []float64
 	arc     []float64
@@ -62,7 +60,13 @@ func (s *Scratch) Open(mask *Binary, r int) *Binary {
 // mask aliasing scratch storage (valid until the next use of s) plus its
 // statistics. It returns ErrEmptyImage when mask has no foreground.
 func (s *Scratch) LargestComponent(mask *Binary) (*Binary, Component, error) {
-	return s.largestComponent(mask)
+	best, comp, err := s.largest(mask)
+	if err != nil {
+		return nil, Component{}, err
+	}
+	s.comp.Reset(mask.W, mask.H)
+	s.lab.paint(s.comp, int32(best))
+	return s.comp, comp, nil
 }
 
 // ExtractSignatureNorm is the allocation-free variant of the package-level
@@ -70,13 +74,15 @@ func (s *Scratch) LargestComponent(mask *Binary) (*Binary, Component, error) {
 // centroid-distance signature under mode. The returned series and contour
 // alias scratch storage and are only valid until the next use of s; callers
 // that retain them must copy (the recogniser z-normalises into a fresh
-// series anyway).
+// series anyway). The contour is traced on mask itself: tracing reads only
+// the 8-neighbours of the component's own pixels, so other components never
+// enter it and no component mask is built.
 func (s *Scratch) ExtractSignatureNorm(mask *Binary, n int, mode Normalization) (timeseries.Series, Contour, Component, error) {
-	blob, comp, err := s.largestComponent(mask)
+	_, comp, err := s.largest(mask)
 	if err != nil {
 		return nil, nil, Component{}, err
 	}
-	contour, err := TraceContourInto(blob, Point{comp.FirstPix[0], comp.FirstPix[1]}, s.contour)
+	contour, err := TraceContourInto(mask, Point{comp.FirstPix[0], comp.FirstPix[1]}, s.contour)
 	if cap(contour) > cap(s.contour) {
 		s.contour = contour
 	}
@@ -98,138 +104,20 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// largestComponent is LargestComponent into scratch storage: union-find
-// labelling with reused label/parent planes, then a stats pass for the
-// winning root only. The returned mask is s.comp.
-func (s *Scratch) largestComponent(b *Binary) (*Binary, Component, error) {
-	n := b.W * b.H
-	s.labels = grow(s.labels, n)
-	labels := s.labels
-	for i := range labels {
-		labels[i] = 0
+// largest labels mask's runs in the scratch's planes and returns the index
+// and statistics of its largest component, ties going to the one whose first
+// pixel comes first in raster order, or ErrEmptyImage.
+func (s *Scratch) largest(mask *Binary) (int, Component, error) {
+	s.lab.label(&s.morph, mask)
+	blobs := s.lab.blobs
+	if len(blobs) == 0 {
+		return 0, Component{}, ErrEmptyImage
 	}
-	parent := append(s.parent[:0], 0) // parent[0] unused; labels start at 1
-
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
-	next := int32(1)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.Pix[y*b.W+x] == 0 {
-				continue
-			}
-			var neighbors [4]int32
-			cnt := 0
-			// Scan previously visited 8-neighbours: W, NW, N, NE.
-			if x > 0 && labels[y*b.W+x-1] != 0 {
-				neighbors[cnt] = labels[y*b.W+x-1]
-				cnt++
-			}
-			if y > 0 {
-				if x > 0 && labels[(y-1)*b.W+x-1] != 0 {
-					neighbors[cnt] = labels[(y-1)*b.W+x-1]
-					cnt++
-				}
-				if labels[(y-1)*b.W+x] != 0 {
-					neighbors[cnt] = labels[(y-1)*b.W+x]
-					cnt++
-				}
-				if x+1 < b.W && labels[(y-1)*b.W+x+1] != 0 {
-					neighbors[cnt] = labels[(y-1)*b.W+x+1]
-					cnt++
-				}
-			}
-			if cnt == 0 {
-				labels[y*b.W+x] = next
-				parent = append(parent, next)
-				next++
-				continue
-			}
-			minL := neighbors[0]
-			for i := 1; i < cnt; i++ {
-				if neighbors[i] < minL {
-					minL = neighbors[i]
-				}
-			}
-			labels[y*b.W+x] = minL
-			for i := 0; i < cnt; i++ {
-				ra, rc := find(minL), find(neighbors[i])
-				if ra != rc {
-					if ra < rc {
-						parent[rc] = ra
-					} else {
-						parent[ra] = rc
-					}
-				}
-			}
+	best := 0
+	for i := range blobs {
+		if blobs[i].area > blobs[best].area {
+			best = i
 		}
 	}
-	s.parent = parent
-
-	// Resolve roots and accumulate per-root areas.
-	s.area = grow(s.area, len(parent))
-	area := s.area
-	for i := range area {
-		area[i] = 0
-	}
-	for i, l := range labels {
-		if l == 0 {
-			continue
-		}
-		r := find(l)
-		labels[i] = r
-		area[r]++
-	}
-	best := int32(0)
-	for l := int32(1); l < int32(len(parent)); l++ {
-		if area[l] > area[best] {
-			best = l
-		}
-	}
-	if best == 0 {
-		return nil, Component{}, ErrEmptyImage
-	}
-
-	// Stats pass for the winner only, filling the component mask.
-	s.comp.resize(b.W, b.H)
-	comp := Component{Label: int(best), Area: int(area[best])}
-	first := true
-	var cenX, cenY float64
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			i := y*b.W + x
-			if labels[i] != best {
-				s.comp.Pix[i] = 0
-				continue
-			}
-			s.comp.Pix[i] = 1
-			if first {
-				comp.MinX, comp.MaxX = x, x
-				comp.MinY, comp.MaxY = y, y
-				comp.FirstPix = [2]int{x, y}
-				first = false
-			} else {
-				if x < comp.MinX {
-					comp.MinX = x
-				}
-				if x > comp.MaxX {
-					comp.MaxX = x
-				}
-				if y > comp.MaxY {
-					comp.MaxY = y
-				}
-			}
-			cenX += float64(x)
-			cenY += float64(y)
-		}
-	}
-	comp.CenX = cenX / float64(comp.Area)
-	comp.CenY = cenY / float64(comp.Area)
-	return s.comp, comp, nil
+	return best, blobs[best].component(best + 1), nil
 }
