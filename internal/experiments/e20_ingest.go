@@ -118,8 +118,8 @@ func E20Ingest() (string, error) {
 	sb.WriteString("Offer never blocks — its worst case stays in microseconds at every\n")
 	sb.WriteString("rate, so capture cadence is preserved — while overload converts to\n")
 	sb.WriteString("dropped (oldest) frames and the surviving windows still read the\n")
-	sb.WriteString("gesture. The same machinery serves remotely as POST /v1/gesture and\n")
-	sb.WriteString("the /v1/gesture/streams live sessions (hdcserve -gesture), with the\n")
+	sb.WriteString("gesture. The same machinery serves remotely as the /v1/gesture/streams\n")
+	sb.WriteString("live sessions (hdcserve -gesture), with the\n")
 	sb.WriteString("drop totals on /statsz as ingest_accepted/ingest_dropped.\n")
 	return sb.String(), nil
 }

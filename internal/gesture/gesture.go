@@ -150,8 +150,7 @@ const morphRadius = 1
 // ExtractFrame is the pooled-scratch per-frame feature stage as a public
 // entry point: graph nodes (internal/graph/nodes) run exactly this from a
 // worker's vision scratch, so the graph-served gesture path reuses the same
-// code — and produces bit-identical Features — as ClassifyFrames and the
-// Live session.
+// code — and produces bit-identical Features — as the Live session.
 func ExtractFrame(vs *vision.Scratch, frame *raster.Gray) (Features, error) {
 	return extractFrame(vs, frame)
 }

@@ -2,7 +2,6 @@ package gesture
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"hdc/internal/pipeline"
@@ -258,78 +257,7 @@ func (l *Live) Stats() LiveStats {
 // into a trivially matchable shape and yield a confident bogus verdict.
 var ErrShortWindow = errors.New("gesture: window shorter than one cycle")
 
-// MinWindow is the smallest observation window ClassifyFrames accepts —
-// one full gesture cycle, the span phase-invariant matching needs.
+// MinWindow is the smallest observation window a one-shot classification
+// accepts (see nodes.ClassifyGestureWindow) — one full gesture cycle, the
+// span phase-invariant matching needs.
 func (r *Recognizer) MinWindow() int { return r.cfg.FramesPerCycle }
-
-// ClassifyFrames pushes one complete observation window through the pool's
-// workers (feature extraction in parallel, pooled buffers) and classifies
-// it — the one-shot, synchronous counterpart of a Live session, used by the
-// service's /v1/gesture endpoint. onFrame, when non-nil, receives every
-// frame back exactly once. A per-frame extraction error fails the window.
-func (r *Recognizer) ClassifyFrames(p StreamPool, frames []*raster.Gray, onFrame func(*raster.Gray)) (Match, error) {
-	if len(frames) < r.cfg.FramesPerCycle {
-		if onFrame != nil {
-			for _, f := range frames {
-				onFrame(f)
-			}
-		}
-		return Match{}, fmt.Errorf("%w: %d frames, need %d", ErrShortWindow, len(frames), r.cfg.FramesPerCycle)
-	}
-	feats := make([]Features, len(frames))
-	st, err := p.NewProcStream(func(sc *recognizer.Scratch, seq uint64, frame *raster.Gray) (recognizer.Result, error) {
-		f, err := extractFrame(sc.Vision(), frame)
-		if err != nil {
-			return recognizer.Result{}, err
-		}
-		feats[seq] = f
-		return recognizer.Result{}, nil
-	})
-	if err != nil {
-		if onFrame != nil {
-			for _, f := range frames {
-				onFrame(f)
-			}
-		}
-		return Match{}, err
-	}
-	go func() {
-		defer st.Close()
-		for _, f := range frames {
-			if st.Submit(f) != nil {
-				return
-			}
-		}
-	}()
-	var firstErr error
-	delivered := 0
-	for res := range st.Results() {
-		if onFrame != nil {
-			onFrame(res.Frame)
-		}
-		delivered++
-		if res.Err != nil && firstErr == nil {
-			firstErr = res.Err
-		}
-	}
-	// Frames past delivered never entered the stream (the pool closed while
-	// submitting); recycle them before reporting any failure.
-	if onFrame != nil {
-		for _, f := range frames[delivered:] {
-			onFrame(f)
-		}
-	}
-	if firstErr != nil {
-		return Match{}, firstErr
-	}
-	if delivered != len(frames) {
-		return Match{}, pipeline.ErrClosed
-	}
-	topX := make(timeseries.Series, len(frames))
-	topY := make(timeseries.Series, len(frames))
-	for i, f := range feats {
-		topX[i] = f.CenX
-		topY[i] = f.Aspect
-	}
-	return r.Classify(topX, topY)
-}

@@ -49,46 +49,6 @@ func renderWindow(t testing.TB, r *Recognizer, g Gesture, phase0 float64,
 	return out
 }
 
-// TestClassifyFramesAcrossGesturesRandomPhase runs every gesture through
-// the pipeline-backed window path at randomized starting phases — the
-// satellite coverage for pooled-scratch feature extraction under -race.
-func TestClassifyFramesAcrossGesturesRandomPhase(t *testing.T) {
-	rend := scene.NewRenderer(scene.Config{})
-	r, err := NewRecognizer(Config{}, rend, scene.ReferenceView())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPool(t, pipeline.Config{Workers: 4, QueueDepth: 4, StreamWindow: 6})
-	rng := rand.New(rand.NewSource(42))
-	for _, g := range Gestures() {
-		for trial := 0; trial < 3; trial++ {
-			phase0 := rng.Float64()
-			frames := renderWindow(t, r, g, phase0, body.Options{}, nil, r.cfg.FramesPerCycle)
-			m, err := r.ClassifyFrames(p, frames, nil)
-			if err != nil {
-				t.Fatalf("%v @ phase %.2f: %v", g, phase0, err)
-			}
-			if m.Gesture != g {
-				t.Fatalf("%v @ phase %.2f → %v (dist %.2f)", g, phase0, m.Gesture, m.Dist)
-			}
-		}
-	}
-	if _, err := r.ClassifyFrames(p, nil, nil); !errors.Is(err, ErrShortWindow) {
-		t.Fatalf("empty window: %v, want ErrShortWindow", err)
-	}
-	// A sub-cycle window would z-normalise into a trivially matchable shape
-	// (the threshold is calibrated for full cycles); it must be refused,
-	// with every frame still recycled.
-	short := renderWindow(t, r, GestureWave, 0, body.Options{}, nil, r.cfg.FramesPerCycle-1)
-	recycled := 0
-	if _, err := r.ClassifyFrames(p, short, func(*raster.Gray) { recycled++ }); !errors.Is(err, ErrShortWindow) {
-		t.Fatalf("short window: %v, want ErrShortWindow", err)
-	}
-	if recycled != len(short) {
-		t.Fatalf("short window recycled %d of %d frames", recycled, len(short))
-	}
-}
-
 // TestLiveSessionClassifiesFeed feeds two gesture cycles through a live
 // session sized to drop nothing and expects sliding-window matches.
 func TestLiveSessionClassifiesFeed(t *testing.T) {

@@ -3,6 +3,7 @@ package nodes
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,11 +17,13 @@ import (
 	"hdc/internal/recognizer"
 	"hdc/internal/sax"
 	"hdc/internal/scene"
+	"hdc/internal/timeseries"
+	"hdc/internal/vision"
 )
 
-// diff_test.go pins the graph-served vision paths byte-identical to the
-// legacy stream paths: the recognition graph against the pool's default
-// stream, and the gesture graph against ClassifyFrames. Inputs are
+// diff_test.go pins the graph-served vision paths byte-identical to their
+// references: the recognition graph against the pool's default stream, and
+// the gesture graph against a serial, pool-free oracle. Inputs are
 // randomised with a logged seed, and float fields are compared down to
 // their Float64bits — any divergence between the two code paths, however
 // small, is a failure.
@@ -178,11 +181,32 @@ func TestGraphRecognitionMatchesStreamPath(t *testing.T) {
 	}
 }
 
-// TestGraphGestureMatchesClassifyFrames is the gesture differential: a
-// rendered observation window classified by ClassifyFrames (the legacy
-// NewProcStream path) and by ClassifyGestureWindow over the gesture graph
-// must agree to the bit on the match, for every gesture at a random phase.
-func TestGraphGestureMatchesClassifyFrames(t *testing.T) {
+// classifyGestureSerial is the gesture window's reference: ExtractFrame on
+// a fresh vision.Scratch per frame, in frame order, then Classify — all on
+// the calling goroutine, with no pool. A sub-cycle window is refused with
+// the error ClassifyGestureWindow promises.
+func classifyGestureSerial(r *gesture.Recognizer, frames []*raster.Gray) (gesture.Match, error) {
+	if len(frames) < r.MinWindow() {
+		return gesture.Match{}, fmt.Errorf("%w: %d frames, need %d", gesture.ErrShortWindow, len(frames), r.MinWindow())
+	}
+	cenX := make(timeseries.Series, len(frames))
+	aspect := make(timeseries.Series, len(frames))
+	for i, f := range frames {
+		feat, err := gesture.ExtractFrame(vision.NewScratch(), f)
+		if err != nil {
+			return gesture.Match{}, err
+		}
+		cenX[i] = feat.CenX
+		aspect[i] = feat.Aspect
+	}
+	return r.Classify(cenX, aspect)
+}
+
+// TestGraphGestureMatchesSerialOracle is the gesture differential: a
+// rendered observation window classified by the serial oracle and by
+// ClassifyGestureWindow over the gesture graph must agree to the bit on the
+// match, for every gesture at a random phase.
+func TestGraphGestureMatchesSerialOracle(t *testing.T) {
 	rng := newSeededRNG(t)
 	rend := scene.NewRenderer(scene.Config{})
 	r, err := gesture.NewRecognizer(gesture.Config{}, rend, scene.ReferenceView())
@@ -198,28 +222,16 @@ func TestGraphGestureMatchesClassifyFrames(t *testing.T) {
 
 	for _, gest := range gesture.Gestures() {
 		phase0 := rng.Float64()
-		n := r.MinWindow() + rng.Intn(r.MinWindow())
-		frames := make([]*raster.Gray, n)
-		for i := range frames {
-			fig, err := gesture.FigureAt(gest, phase0+float64(i)/float64(r.MinWindow()), body.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := rend.RenderFigure(fig, scene.ReferenceView(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames[i] = f
-		}
+		frames := renderGestureWindow(t, rend, r, gest, phase0, r.MinWindow()+rng.Intn(r.MinWindow()))
 
-		want, wantErr := r.ClassifyFrames(p, frames, nil)
+		want, wantErr := classifyGestureSerial(r, frames)
 		got, gotErr := ClassifyGestureWindow(context.Background(), g, r, frames, nil)
 		if (wantErr == nil) != (gotErr == nil) ||
 			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("%v phase %v: error parity broken: stream %v, graph %v", gest, phase0, wantErr, gotErr)
+			t.Fatalf("%v phase %v: error parity broken: serial %v, graph %v", gest, phase0, wantErr, gotErr)
 		}
 		if want.Gesture != got.Gesture || want.Shift != got.Shift || !sameBits(want.Dist, got.Dist) {
-			t.Fatalf("%v phase %v: matches diverge: stream %+v, graph %+v", gest, phase0, want, got)
+			t.Fatalf("%v phase %v: matches diverge: serial %+v, graph %+v", gest, phase0, want, got)
 		}
 	}
 
@@ -232,10 +244,10 @@ func TestGraphGestureMatchesClassifyFrames(t *testing.T) {
 		}
 		short[i] = f
 	}
-	_, wantErr := r.ClassifyFrames(p, short, nil)
+	_, wantErr := classifyGestureSerial(r, short)
 	_, gotErr := ClassifyGestureWindow(context.Background(), g, r, short, nil)
 	if !errors.Is(wantErr, gesture.ErrShortWindow) || !errors.Is(gotErr, gesture.ErrShortWindow) ||
 		wantErr.Error() != gotErr.Error() {
-		t.Fatalf("short window: stream %v, graph %v", wantErr, gotErr)
+		t.Fatalf("short window: serial %v, graph %v", wantErr, gotErr)
 	}
 }

@@ -4,9 +4,13 @@ import (
 	"context"
 	"testing"
 
+	"hdc/internal/body"
+	"hdc/internal/gesture"
 	"hdc/internal/graph"
 	"hdc/internal/pipeline"
+	"hdc/internal/raster"
 	"hdc/internal/recognizer"
+	"hdc/internal/scene"
 )
 
 // newTestPool starts a small shared worker pool for graph tests; its default
@@ -53,4 +57,23 @@ func processValues[T any](t testing.TB, g *graph.Graph, vals []T) []any {
 		res[i] = o.Value
 	}
 	return res
+}
+
+// renderGestureWindow renders n frames of gest starting at phase0, sampled
+// at r's template density (MinWindow frames per cycle).
+func renderGestureWindow(t testing.TB, rend *scene.Renderer, r *gesture.Recognizer, gest gesture.Gesture, phase0 float64, n int) []*raster.Gray {
+	t.Helper()
+	frames := make([]*raster.Gray, n)
+	for i := range frames {
+		fig, err := gesture.FigureAt(gest, phase0+float64(i)/float64(r.MinWindow()), body.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := rend.RenderFigure(fig, scene.ReferenceView(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+	return frames
 }

@@ -6,11 +6,11 @@
 // shared worker pool and serve them over the /v1/graph endpoints.
 //
 // Every node here passes the graphtest conformance kit under -race (see
-// nodes_test.go), and the vision nodes are pinned byte-identical to the
-// legacy NewProcStream paths by the differential tests in diff_test.go:
-// recognition runs the same RecognizeWith call the pool's default stream
-// runs, and gesture features run the same ExtractFrame the gesture
-// recogniser's proc stream runs.
+// nodes_test.go), and the vision nodes are pinned byte-identical to their
+// references by the differential tests in diff_test.go: recognition runs
+// the same RecognizeWith call the pool's default stream runs, and a gesture
+// window classifies exactly as gesture.ExtractFrame on each frame in order
+// followed by Recognizer.Classify.
 package nodes
 
 import (
@@ -51,9 +51,10 @@ func RecognizeSpec(rec *recognizer.Recognizer) graph.Spec {
 	}
 }
 
-// GestureFeatures returns the per-frame gesture feature node: the same
-// pooled-scratch ExtractFrame stage ClassifyFrames runs, producing
-// bit-identical gesture.Features. The frame's Value becomes the Features.
+// GestureFeatures returns the per-frame gesture feature node: the
+// pooled-scratch ExtractFrame stage a live gesture session also runs,
+// producing bit-identical gesture.Features. The frame's Value becomes the
+// Features.
 func GestureFeatures() graph.Proc {
 	return func(sc *recognizer.Scratch, m *graph.Msg) error {
 		f, err := gesture.ExtractFrame(sc.Vision(), m.Frame)
@@ -66,9 +67,8 @@ func GestureFeatures() graph.Proc {
 }
 
 // GestureSpec is the served gesture topology: a single features node; the
-// window-level classification runs at the collection point (see
-// ClassifyGestureWindow), just as ClassifyFrames classifies after its
-// stream drains.
+// window-level classification runs at the collection point, once the whole
+// window has delivered (see ClassifyGestureWindow).
 func GestureSpec() graph.Spec {
 	return graph.Spec{
 		Name:   "gesture",
@@ -79,13 +79,13 @@ func GestureSpec() graph.Spec {
 
 // ClassifyGestureWindow pushes one observation window through g — a graph
 // built from GestureSpec — and classifies the resulting feature series with
-// r: the graph counterpart of gesture.Recognizer.ClassifyFrames, matching
-// it result-for-result. Frames the graph accepts recycle through the
-// graph's Recycle hook; onFrame (optional) receives only frames the call
-// never submitted (the short-window refusal), mirroring ClassifyFrames'
-// every-frame-back-exactly-once contract when both hooks recycle to the
-// same pool. A per-frame extraction error fails the window with the first
-// error in frame order.
+// r. It is the one one-shot gesture path: the service's /v1/gesture and
+// /v1/graph/gesture both run it. A window shorter than r.MinWindow() is
+// refused with gesture.ErrShortWindow. Frames the graph accepts recycle
+// through the graph's Recycle hook; onFrame (optional) receives only frames
+// the call never submitted (the short-window refusal), so every frame comes
+// back exactly once when both hooks recycle to the same pool. A per-frame
+// extraction error fails the window with the first error in frame order.
 func ClassifyGestureWindow(ctx context.Context, g *graph.Graph, r *gesture.Recognizer, frames []*raster.Gray, onFrame func(*raster.Gray)) (gesture.Match, error) {
 	if len(frames) < r.MinWindow() {
 		if onFrame != nil {

@@ -1,12 +1,17 @@
 package nodes
 
 import (
+	"context"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"hdc/internal/geom"
+	"hdc/internal/gesture"
 	"hdc/internal/graph/graphtest"
 	"hdc/internal/imu"
 	"hdc/internal/ledring"
+	"hdc/internal/raster"
 	"hdc/internal/recognizer"
 	"hdc/internal/scene"
 
@@ -175,6 +180,53 @@ func TestLedringGraphReading(t *testing.T) {
 	rd = out[2].(*LedringReading)
 	if rd.PulseErr != "" || rd.Pulse != ledring.PulseTakeOff {
 		t.Fatalf("pulse ring reading: %+v", rd)
+	}
+}
+
+// TestGestureGraphReading runs every gesture through ClassifyGestureWindow
+// at randomized starting phases — pooled-scratch feature extraction on the
+// graph under -race — and pins the sub-cycle refusal, with every refused
+// frame handed back.
+func TestGestureGraphReading(t *testing.T) {
+	rend := scene.NewRenderer(scene.Config{})
+	r, err := gesture.NewRecognizer(gesture.Config{}, rend, scene.ReferenceView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newTestPool(t)
+	g, err := buildSpec(t, GestureSpec(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(42))
+	for _, gest := range gesture.Gestures() {
+		for trial := 0; trial < 3; trial++ {
+			phase0 := rng.Float64()
+			frames := renderGestureWindow(t, rend, r, gest, phase0, r.MinWindow())
+			m, err := ClassifyGestureWindow(ctx, g, r, frames, nil)
+			if err != nil {
+				t.Fatalf("%v @ phase %.2f: %v", gest, phase0, err)
+			}
+			if m.Gesture != gest {
+				t.Fatalf("%v @ phase %.2f → %v (dist %.2f)", gest, phase0, m.Gesture, m.Dist)
+			}
+		}
+	}
+	if _, err := ClassifyGestureWindow(ctx, g, r, nil, nil); !errors.Is(err, gesture.ErrShortWindow) {
+		t.Fatalf("empty window: %v, want ErrShortWindow", err)
+	}
+	// A sub-cycle window would z-normalise into a trivially matchable shape
+	// (the threshold is calibrated for full cycles); it must be refused,
+	// with every frame still recycled.
+	short := renderGestureWindow(t, rend, r, gesture.GestureWave, 0, r.MinWindow()-1)
+	recycled := 0
+	if _, err := ClassifyGestureWindow(ctx, g, r, short, func(*raster.Gray) { recycled++ }); !errors.Is(err, gesture.ErrShortWindow) {
+		t.Fatalf("short window: %v, want ErrShortWindow", err)
+	}
+	if recycled != len(short) {
+		t.Fatalf("short window recycled %d of %d frames", recycled, len(short))
 	}
 }
 

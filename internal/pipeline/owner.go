@@ -90,7 +90,7 @@ func (o *Owner) NewProcStream(proc Proc) (*Stream, error) {
 // RecognizeBatch is Pipeline.RecognizeBatch on a stream attributed to this
 // owner, so batch traffic shows up in the owner's frame counts.
 func (o *Owner) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	return recognizeBatch(o.NewStream, frames)
+	return recognizeBatchContext(context.Background(), o.NewStream, frames, nil)
 }
 
 // RecognizeBatchContext is Pipeline.RecognizeBatchContext on a stream

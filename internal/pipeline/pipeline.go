@@ -370,53 +370,7 @@ func (p *Pipeline) Close() {
 // synchronous convenience over a private stream; concurrent batches simply
 // share the pool.
 func (p *Pipeline) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	return recognizeBatch(p.NewStream, frames)
-}
-
-// recognizeBatch runs the ordered-batch convenience over a stream from
-// newStream — the one implementation behind Pipeline.RecognizeBatch and
-// Owner.RecognizeBatch, so owner-attributed batches cannot drift from the
-// direct path.
-func recognizeBatch(newStream func() (*Stream, error), frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	// Validate up front: a nil frame mid-batch would otherwise break the
-	// index↔sequence correspondence and surface as a misleading ErrClosed.
-	for _, f := range frames {
-		if f == nil {
-			return nil, nil, ErrNilFrame
-		}
-	}
-	results := make([]recognizer.Result, len(frames))
-	errs := make([]error, len(frames))
-	if len(frames) == 0 {
-		return results, errs, nil
-	}
-	st, err := newStream()
-	if err != nil {
-		return nil, nil, err
-	}
-	go func() {
-		defer st.Close()
-		for _, f := range frames {
-			if err := st.Submit(f); err != nil {
-				return // remaining frames surface as ErrClosed below
-			}
-		}
-	}()
-	seen := make([]bool, len(frames))
-	for r := range st.Results() {
-		if r.Seq >= uint64(len(frames)) {
-			continue
-		}
-		results[r.Seq] = r.Res
-		errs[r.Seq] = r.Err
-		seen[r.Seq] = true
-	}
-	for i := range seen {
-		if !seen[i] {
-			errs[i] = ErrClosed
-		}
-	}
-	return results, errs, nil
+	return recognizeBatchContext(context.Background(), p.NewStream, frames, nil)
 }
 
 // RecognizeBatchContext is RecognizeBatch with a deadline and pooled-buffer
@@ -435,9 +389,15 @@ func (p *Pipeline) RecognizeBatchContext(ctx context.Context, frames []*raster.G
 	return recognizeBatchContext(ctx, p.NewStream, frames, recycle)
 }
 
-// recognizeBatchContext is the deadline-aware sibling of recognizeBatch,
-// shared by Pipeline.RecognizeBatchContext and Owner.RecognizeBatchContext.
+// recognizeBatchContext runs the ordered-batch convenience over a stream
+// from newStream — the one implementation behind RecognizeBatch and
+// RecognizeBatchContext on both Pipeline and Owner, so owner-attributed
+// batches cannot drift from the direct path. With a Done-less ctx and a nil
+// recycle it is the plain batch: SubmitContext then submits exactly as
+// Submit does.
 func recognizeBatchContext(ctx context.Context, newStream func() (*Stream, error), frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
+	// Validate up front: a nil frame mid-batch would otherwise break the
+	// index↔sequence correspondence and surface as a misleading ErrClosed.
 	for _, f := range frames {
 		if f == nil {
 			return nil, nil, ErrNilFrame

@@ -1,7 +1,7 @@
 // Package raster provides the minimal grayscale-image substrate used by the
 // synthetic drone camera and the vision pipeline: an 8-bit frame buffer,
-// polygon/disc rasterisation, box blur, noise injection and PGM export. It
-// stands in for the parts of OpenCV the paper's Python prototype used.
+// polygon/disc rasterisation, box blur and noise injection. It stands in
+// for the parts of OpenCV the paper's Python prototype used.
 package raster
 
 import (
@@ -393,15 +393,6 @@ func (g *Gray) Downsample(factor int) *Gray {
 			out.Pix[y*w+x] = uint8(sum / cnt)
 		}
 	}
-	return out
-}
-
-// PGM encodes the image as a binary PGM (P5) file body, for debugging dumps.
-func (g *Gray) PGM() []byte {
-	header := fmt.Sprintf("P5\n%d %d\n255\n", g.W, g.H)
-	out := make([]byte, 0, len(header)+len(g.Pix))
-	out = append(out, header...)
-	out = append(out, g.Pix...)
 	return out
 }
 

@@ -224,17 +224,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestPGMHeader(t *testing.T) {
-	g := MustGray(3, 2)
-	b := g.PGM()
-	if !bytes.HasPrefix(b, []byte("P5\n3 2\n255\n")) {
-		t.Fatalf("bad PGM header: %q", b[:12])
-	}
-	if len(b) != len("P5\n3 2\n255\n")+6 {
-		t.Fatalf("bad PGM length %d", len(b))
-	}
-}
-
 func TestASCII(t *testing.T) {
 	g := MustGray(10, 4)
 	g.Fill(255)

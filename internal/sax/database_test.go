@@ -227,54 +227,6 @@ func TestDatabaseConcurrentAccess(t *testing.T) {
 	<-done
 }
 
-func TestStreamEncoderNumerosity(t *testing.T) {
-	enc, _ := NewEncoder(4, 4)
-	se, err := NewStreamEncoder(enc, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A long constant stream: every window symbolises identically → only the
-	// first word is emitted.
-	samples := make([]float64, 200)
-	words, err := se.Push(samples...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) != 1 {
-		t.Fatalf("constant stream emitted %d words, want 1", len(words))
-	}
-	windows, emitted := se.Stats()
-	if windows < 10 || emitted != 1 {
-		t.Fatalf("stats = (%d,%d)", windows, emitted)
-	}
-	// A changing stream emits more.
-	se.Reset()
-	varied := make([]float64, 200)
-	for i := range varied {
-		varied[i] = math.Sin(float64(i) / 3)
-	}
-	words, err = se.Push(varied...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) < 2 {
-		t.Fatalf("varied stream emitted %d words", len(words))
-	}
-}
-
-func TestStreamEncoderValidation(t *testing.T) {
-	enc, _ := NewEncoder(8, 4)
-	if _, err := NewStreamEncoder(nil, 16, 1); err == nil {
-		t.Error("nil encoder should fail")
-	}
-	if _, err := NewStreamEncoder(enc, 4, 1); err == nil {
-		t.Error("window < segments should fail")
-	}
-	if _, err := NewStreamEncoder(enc, 16, 0); err == nil {
-		t.Error("step 0 should fail")
-	}
-}
-
 func TestTuneGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	kinds := []string{"two-lobe", "three-lobe", "spike"}

@@ -86,21 +86,6 @@ func (w Word) Reverse() Word {
 	return Word{Symbols: string(b), Alphabet: w.Alphabet}
 }
 
-// Hamming returns the number of differing symbol positions between two
-// equal-shape words.
-func (w Word) Hamming(v Word) (int, error) {
-	if w.Alphabet != v.Alphabet || len(w.Symbols) != len(v.Symbols) {
-		return 0, ErrWordMismatch
-	}
-	var h int
-	for i := 0; i < len(w.Symbols); i++ {
-		if w.Symbols[i] != v.Symbols[i] {
-			h++
-		}
-	}
-	return h, nil
-}
-
 // Encoder converts raw series into SAX words using fixed parameters. The
 // zero value is not usable; construct with NewEncoder.
 type Encoder struct {

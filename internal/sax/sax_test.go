@@ -157,18 +157,6 @@ func TestWordRotateReverse(t *testing.T) {
 	}
 }
 
-func TestWordHamming(t *testing.T) {
-	a := Word{Symbols: "abcd", Alphabet: 4}
-	b := Word{Symbols: "abdd", Alphabet: 4}
-	h, err := a.Hamming(b)
-	if err != nil || h != 1 {
-		t.Fatalf("Hamming = %d, %v", h, err)
-	}
-	if _, err := a.Hamming(Word{Symbols: "ab", Alphabet: 4}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-}
-
 // TestMinDistLowerBoundsEuclidean verifies the fundamental SAX guarantee:
 // MINDIST(Â, B̂) ≤ D(A, B) for z-normalised series A, B. Without this the
 // database pruning would be unsound.

@@ -12,8 +12,10 @@ import (
 //
 //   - POST /v1/gesture — one-shot: the request carries one complete
 //     observation window (a batch of frames in any of the three wire
-//     encodings) and the response is its verdict. Feature extraction fans
-//     out over the pool's workers.
+//     encodings) and the response is its verdict. It is served by the
+//     gesture graph, the same handler as POST /v1/graph/gesture (see
+//     handleGraphGesture), so it takes admission control and X-Deadline-Ms
+//     like every other frame endpoint.
 //   - /v1/gesture/streams — live mode: the session owns a bounded
 //     drop-oldest ring (pipeline.Source) in front of the pool, so an
 //     operator can push frames at capture cadence no matter how loaded the
@@ -108,35 +110,6 @@ func toWireWindow(m gesture.WindowMatch) GestureResult {
 	r := gestureMatchToWire(m.Match, m.Err)
 	r.End = m.End
 	return r
-}
-
-// handleGesture answers POST /v1/gesture: one observation window in, one
-// verdict out. Decode failures are 400; a window that matched nothing is a
-// 200 with error "no_gesture" (a verdict, not a failure).
-func (s *Server) handleGesture(w http.ResponseWriter, r *http.Request) (int, bool) {
-	if !s.acceptingWork() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return 0, true
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	frames, err := decodeFrames(r, &s.framePool, s.opts.MaxBatch, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	// ClassifyFrames owns the frames from here: every one comes back
-	// through the recycle hook exactly once, error paths included.
-	m, err := s.opts.Gesture.ClassifyFrames(s.sys, frames, s.framePool.Put)
-	if errors.Is(err, gesture.ErrShortWindow) {
-		// A malformed request, not a verdict: too few frames to mean
-		// anything against full-cycle-calibrated thresholds.
-		writeError(w, http.StatusBadRequest, err)
-		return len(frames), true
-	}
-	out := gestureMatchToWire(m, err)
-	failed := err != nil && !errors.Is(err, gesture.ErrNoGesture)
-	writeJSON(w, http.StatusOK, out)
-	return len(frames), failed
 }
 
 // handleGestureStreamCreate answers POST /v1/gesture/streams: opens a

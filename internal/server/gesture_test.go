@@ -158,6 +158,65 @@ func TestGestureOneShot(t *testing.T) {
 	framePoolBalanced(t, c)
 }
 
+// TestGestureAdmissionAndDeadline pins the frame endpoints' dependability
+// contract on POST /v1/gesture: a window over MaxInflightFrames is refused
+// with 429 and Retry-After: 1, a malformed X-Deadline-Ms is a 400, a
+// well-formed one still gets its verdict, and the frame pool balances.
+func TestGestureAdmissionAndDeadline(t *testing.T) {
+	sys, hs := gestureService(t, server.Options{MaxInflightFrames: 24}, pipeline.Config{Workers: 2})
+	c := client.New(hs.URL, nil)
+	ctx := context.Background()
+	post := func(frames []*raster.Gray, deadline string) *http.Response {
+		t.Helper()
+		req, err := c.Post(ctx, "/v1/gesture", frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline != "" {
+			req.Header.Set(server.DeadlineHeader, deadline)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post(gestureWindow(t, sys, gesture.GestureWave, 0, 48), "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("over-cap window: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	window := gestureWindow(t, sys, gesture.GestureWave, 0.4, 24)
+	for _, bad := range []string{"banana", "0", "-5"} {
+		resp := post(window, bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %q: %d, want 400", server.DeadlineHeader, bad, resp.StatusCode)
+		}
+	}
+
+	resp = post(window, "10000")
+	var res server.GestureResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !res.OK || res.Gesture != "Wave" {
+		t.Fatalf("window with a deadline: %d %+v", resp.StatusCode, res)
+	}
+
+	stats, err := c.Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Admission.Rejected != 1 || stats.Admission.InflightFrames != 0 {
+		t.Fatalf("admission snapshot: %+v", stats.Admission)
+	}
+	framePoolBalanced(t, c)
+}
+
 // TestGestureDisabledByDefault pins that the endpoints only exist when the
 // recogniser is configured.
 func TestGestureDisabledByDefault(t *testing.T) {

@@ -250,9 +250,11 @@ func (s *Server) handleGraphRecognize(w http.ResponseWriter, r *http.Request) (i
 	return n, false
 }
 
-// handleGraphGesture answers POST /v1/graph/gesture: one observation window
-// through the gesture graph, classified at collection — the graph
-// counterpart of /v1/gesture, pinned to the same verdicts.
+// handleGraphGesture answers POST /v1/gesture and POST /v1/graph/gesture:
+// one observation window through the gesture graph, classified at
+// collection. Decode failures and sub-cycle windows are 400; a window that
+// matched nothing is a 200 with error "no_gesture" (a verdict, not a
+// failure).
 func (s *Server) handleGraphGesture(w http.ResponseWriter, r *http.Request) (int, bool) {
 	if !s.acceptingWork() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"testing"
 
-	"hdc/internal/gesture"
 	"hdc/internal/imu"
 	"hdc/internal/ledring"
 	"hdc/internal/pipeline"
@@ -97,25 +96,6 @@ func TestGraphRecognizeMatchesBatch(t *testing.T) {
 	// meaningful (an error slot really is exercised by the differential).
 	if last := got.Results[len(frames)-1]; last.OK || last.Err == "" {
 		t.Fatalf("blank slot answered without error: %+v", last)
-	}
-}
-
-// TestGraphGestureMatchesLegacyEndpoint pins /v1/graph/gesture to
-// /v1/gesture: one rendered observation window, two endpoints, identical
-// wire verdicts.
-func TestGraphGestureMatchesLegacyEndpoint(t *testing.T) {
-	sys, hs := gestureService(t, server.Options{}, pipeline.Config{Workers: 4})
-	frames := gestureWindow(t, sys, gesture.GestureWave, 0, 24)
-	req := map[string]any{"frames": wireFrames(frames)}
-
-	var want, got server.GestureResult
-	postGraphJSON(t, hs.URL+"/v1/gesture", req, &want)
-	postGraphJSON(t, hs.URL+"/v1/graph/gesture", req, &got)
-	if want != got {
-		t.Fatalf("gesture verdicts diverge:\nlegacy: %+v\ngraph:  %+v", want, got)
-	}
-	if !want.OK || want.Gesture != gesture.GestureWave.String() {
-		t.Fatalf("fixture window did not classify: %+v", want)
 	}
 }
 

@@ -14,7 +14,7 @@
 //	POST   /v1/streams/{id}/frames submit frames, receive their ordered results
 //	GET    /v1/streams/{id}        session info
 //	DELETE /v1/streams/{id}        close the session
-//	POST   /v1/gesture             classify one gesture observation window
+//	POST   /v1/gesture             classify one gesture observation window (the gesture graph)
 //	POST   /v1/gesture/streams     open a live-feed gesture session (ring-buffer ingest)
 //	POST   /v1/gesture/streams/{id}/frames  offer live frames, poll verdicts
 //	GET    /v1/gesture/streams/{id}         session counters
@@ -25,9 +25,11 @@
 //	GET    /healthz                liveness + drain signal
 //	GET    /statsz                 pool occupancy, ingest drops, per-endpoint latency, mem
 //
-// The gesture endpoints exist when Options.Gesture is set; live sessions put
-// a bounded drop-oldest ring (pipeline.Source) in front of the pool so a
-// camera-cadence feed degrades to frame dropping instead of stalling.
+// The gesture endpoints exist when Options.Gesture is set. A one-shot window
+// runs through the gesture graph, so /v1/gesture and /v1/graph/gesture are
+// one handler; live sessions put a bounded drop-oldest ring
+// (pipeline.Source) in front of the pool so a camera-cadence feed degrades
+// to frame dropping instead of stalling.
 //
 // Frames travel as JSON (width/height + base64 pixels), raw
 // application/octet-stream planes (the allocation-free hot path: pixels are
@@ -62,10 +64,11 @@ type Options struct {
 	// StreamIdleTimeout is how long a stream session may sit idle before
 	// the reaper abandons it (default 2 minutes).
 	StreamIdleTimeout time.Duration
-	// Gesture enables the dynamic-signal endpoints (/v1/gesture and the
-	// live-feed gesture sessions) when set; the recogniser shares the
-	// system's worker pool through its proc-stream hook. Nil leaves the
-	// endpoints answering 404.
+	// Gesture enables the dynamic-signal endpoints (/v1/gesture,
+	// /v1/graph/gesture and the live-feed gesture sessions) when set. A
+	// one-shot window runs through the gesture graph on the system's worker
+	// pool; a live session shares the same pool through the recogniser's
+	// proc-stream hook. Nil leaves the endpoints answering 404.
 	Gesture *gesture.Recognizer
 	// GestureBuffer overrides the live sessions' ingest ring capacity
 	// (default: two observation windows).
@@ -77,10 +80,11 @@ type Options struct {
 	// store latched read-only (sticky write failure) drops the replica out
 	// of readiness and flips recognition to degraded stage-0 answers.
 	Store *store.Store
-	// MaxInflightFrames is the admission-control cap: the total frames
-	// allowed in recognize/batch/stream-frames requests at once (default
-	// 1024). A request that would cross it answers 429 with Retry-After so
-	// overload sheds at the door instead of queueing unboundedly.
+	// MaxInflightFrames is the admission-control cap: the total frames (or
+	// graph work items) allowed in recognize, batch, stream-frames, gesture
+	// and graph requests at once (default 1024). A request that would cross
+	// it answers 429 with Retry-After so overload sheds at the door instead
+	// of queueing unboundedly.
 	MaxInflightFrames int
 	// DegradeWatermark is the pool-queue occupancy fraction (default 0.75)
 	// past which /v1/recognize and /v1/batch answer from the cascade's
@@ -167,7 +171,7 @@ func New(sys *core.System, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/streams/{id}/frames", s.instrument(&s.statStream, s.handleStreamFrames))
 	s.mux.HandleFunc("DELETE /v1/streams/{id}", s.handleStreamDelete)
 	if s.opts.Gesture != nil {
-		s.mux.HandleFunc("POST /v1/gesture", s.instrument(&s.statGesture, s.handleGesture))
+		s.mux.HandleFunc("POST /v1/gesture", s.instrument(&s.statGesture, s.handleGraphGesture))
 		s.mux.HandleFunc("POST /v1/gesture/streams", s.handleGestureStreamCreate)
 		s.mux.HandleFunc("GET /v1/gesture/streams/{id}", s.handleGestureStreamInfo)
 		s.mux.HandleFunc("POST /v1/gesture/streams/{id}/frames", s.instrument(&s.statFeed, s.handleGestureFeed))

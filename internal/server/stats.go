@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hdc/internal/graph"
+	"hdc/internal/latency"
 	"hdc/internal/pipeline"
 	"hdc/internal/sax/store"
 )
@@ -18,61 +19,30 @@ import (
 // right fidelity for a load signal, and the loadgen reports exact
 // percentiles when precision matters (E19).
 
-// latencyBuckets is the number of power-of-two histogram buckets. Bucket 0
-// holds [0, 16µs); bucket i≥1 holds [16µs·2^(i-1), 16µs·2^i); the last
-// bucket (24) is open-ended, catching everything from 16µs·2^23 ≈ 2.2 min
-// up. bucketUpperNs(b) is the exclusive upper edge of bucket b, which is
-// what the percentile estimator reports.
-const (
-	latencyBuckets   = 25
-	latencyBucket0Ns = 16_000 // 16 µs
-)
+// endpointLayout is the endpoint histograms' bucket layout: bucket 0 holds
+// [0, 16µs); bucket i≥1 holds [16µs·2^(i-1), 16µs·2^i); the last bucket
+// (24) is open-ended, catching everything from 16µs·2^23 ≈ 2.2 min up.
+type endpointLayout struct{}
 
-// bucketOf maps a duration to its histogram bucket.
-func bucketOf(d time.Duration) int {
-	ns := d.Nanoseconds()
-	b := 0
-	for lim := int64(latencyBucket0Ns); ns >= lim && b < latencyBuckets-1; lim *= 2 {
-		b++
-	}
-	return b
-}
-
-// bucketUpperNs is the exclusive upper bound of bucket b in nanoseconds
-// (the top bucket is open-ended, so its "bound" is only the estimator's
-// reporting value).
-func bucketUpperNs(b int) int64 {
-	return int64(latencyBucket0Ns) << uint(b)
-}
+func (endpointLayout) Bucket0Ns() int64 { return 16_000 }
+func (endpointLayout) Buckets() int     { return 25 }
 
 // endpointStats is the per-endpoint counter set. All fields are atomics;
 // record is safe from any number of request goroutines.
 type endpointStats struct {
-	count   atomic.Uint64
-	errors  atomic.Uint64
-	frames  atomic.Uint64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-	hist    [latencyBuckets]atomic.Uint64
+	hist   latency.Histogram[endpointLayout]
+	errors atomic.Uint64
+	frames atomic.Uint64
 }
 
 // record logs one request: its wall time, how many frames it carried and
 // whether it failed.
 func (e *endpointStats) record(d time.Duration, frames int, failed bool) {
-	e.count.Add(1)
 	e.frames.Add(uint64(frames))
 	if failed {
 		e.errors.Add(1)
 	}
-	ns := d.Nanoseconds()
-	e.totalNs.Add(ns)
-	for {
-		old := e.maxNs.Load()
-		if ns <= old || e.maxNs.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-	e.hist[bucketOf(d)].Add(1)
+	e.hist.Record(d.Nanoseconds())
 }
 
 // EndpointSnapshot is the JSON form of one endpoint's counters.
@@ -89,45 +59,19 @@ type EndpointSnapshot struct {
 // snapshot folds the counters into their wire form. The percentile estimates
 // are the upper bounds of the histogram buckets holding the p50/p99 ranks.
 func (e *endpointStats) snapshot() EndpointSnapshot {
+	h := e.hist.Snapshot()
 	s := EndpointSnapshot{
-		Count:  e.count.Load(),
+		Count:  h.Count,
 		Errors: e.errors.Load(),
 		Frames: e.frames.Load(),
-		MaxMS:  float64(e.maxNs.Load()) / 1e6,
+		P50MS:  float64(h.P50Ns) / 1e6,
+		P99MS:  float64(h.P99Ns) / 1e6,
+		MaxMS:  float64(h.MaxNs) / 1e6,
 	}
 	if s.Count > 0 {
-		s.MeanMS = float64(e.totalNs.Load()) / float64(s.Count) / 1e6
+		s.MeanMS = float64(h.TotalNs) / float64(s.Count) / 1e6
 	}
-	var counts [latencyBuckets]uint64
-	var total uint64
-	for i := range counts {
-		counts[i] = e.hist[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return s
-	}
-	s.P50MS = float64(percentileUpperNs(counts[:], total, 50)) / 1e6
-	s.P99MS = float64(percentileUpperNs(counts[:], total, 99)) / 1e6
 	return s
-}
-
-// percentileUpperNs returns the upper bound of the bucket containing the
-// p-th percentile rank — the first sample that exceeds p% of the
-// population, so a 1-in-100 tail still surfaces in the p99.
-func percentileUpperNs(counts []uint64, total uint64, p int) int64 {
-	rank := total*uint64(p)/100 + 1
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return bucketUpperNs(i)
-		}
-	}
-	return bucketUpperNs(len(counts) - 1)
 }
 
 // PoolSnapshot is the recognition pool's occupancy on the wire.

@@ -74,22 +74,28 @@ func TestResultToWireNonFinite(t *testing.T) {
 	}
 }
 
-// TestLatencyHistogram pins the bucket math and percentile estimates.
+// TestLatencyHistogram pins the bucket math and percentile estimates, and
+// that recording a request allocates nothing.
 func TestLatencyHistogram(t *testing.T) {
-	if b := bucketOf(0); b != 0 {
-		t.Fatalf("bucketOf(0) = %d", b)
+	var e endpointStats
+	if b := e.hist.Bucket(0); b != 0 {
+		t.Fatalf("bucket of 0 = %d", b)
 	}
-	if b := bucketOf(15 * time.Microsecond); b != 0 {
-		t.Fatalf("bucketOf(15µs) = %d", b)
+	if b := e.hist.Bucket((15 * time.Microsecond).Nanoseconds()); b != 0 {
+		t.Fatalf("bucket of 15µs = %d", b)
 	}
-	if b := bucketOf(16 * time.Microsecond); b != 1 {
-		t.Fatalf("bucketOf(16µs) = %d", b)
+	if b := e.hist.Bucket((16 * time.Microsecond).Nanoseconds()); b != 1 {
+		t.Fatalf("bucket of 16µs = %d", b)
 	}
-	if b := bucketOf(time.Hour); b != latencyBuckets-1 {
-		t.Fatalf("bucketOf(1h) = %d, want top bucket", b)
+	if b := e.hist.Bucket(time.Hour.Nanoseconds()); b != (endpointLayout{}).Buckets()-1 {
+		t.Fatalf("bucket of 1h = %d, want top bucket", b)
 	}
 
-	var e endpointStats
+	var warm endpointStats
+	if a := testing.AllocsPerRun(100, func() { warm.record(20*time.Microsecond, 1, false) }); a != 0 {
+		t.Fatalf("record allocates %v per call", a)
+	}
+
 	// 99 fast requests, one slow: p50 stays in the fast bucket, p99 reaches
 	// the slow one.
 	for i := 0; i < 99; i++ {

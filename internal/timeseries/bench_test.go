@@ -53,13 +53,3 @@ func BenchmarkMinRotationMirrorDist128(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDTW128(b *testing.B) {
-	x, y := benchPair(128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DTWDist(x, y, -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

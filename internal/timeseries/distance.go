@@ -1,9 +1,6 @@
 package timeseries
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // EuclideanDist returns the Euclidean distance between equal-length series.
 // Mismatched lengths are not silently accepted: callers get
@@ -157,123 +154,4 @@ func MinRotationMirrorDistWindow(a, b Series, maxShift int) (best float64, shift
 		return d2, s2, true, nil
 	}
 	return d1, s1, false, nil
-}
-
-// DTWDist computes the classic dynamic-time-warping distance with an
-// optional Sakoe-Chiba band (window < 0 disables the band). It is provided
-// as a reference comparator for the evaluation harness; SAX+MINDIST is the
-// paper's fast path.
-func DTWDist(a, b Series, window int) (float64, error) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return 0, ErrEmpty
-	}
-	if window >= 0 {
-		diff := n - m
-		if diff < 0 {
-			diff = -diff
-		}
-		if window < diff {
-			window = diff
-		}
-	}
-	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		for j := range cur {
-			cur[j] = inf
-		}
-		lo, hi := 1, m
-		if window >= 0 {
-			lo = maxInt(1, i-window)
-			hi = minInt(m, i+window)
-		}
-		for j := lo; j <= hi; j++ {
-			d := a[i-1] - b[j-1]
-			cost := d * d
-			best := prev[j]
-			if prev[j-1] < best {
-				best = prev[j-1]
-			}
-			if cur[j-1] < best {
-				best = cur[j-1]
-			}
-			cur[j] = cost + best
-		}
-		prev, cur = cur, prev
-	}
-	return math.Sqrt(prev[m]), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// xcorrPool recycles the two z-normalised buffers CrossCorrelationPeak
-// needs, so repeated diagnostic sweeps do not churn the allocator.
-var xcorrPool = sync.Pool{
-	New: func() any {
-		s := make(Series, 0, 256)
-		return &s
-	},
-}
-
-// CrossCorrelationPeak returns the circular shift of b maximising the
-// normalised cross-correlation with a, and that correlation value in
-// [-1, 1].
-//
-// This is a diagnostics-only helper (alignment sanity checks, experiment
-// reports): the recognition path aligns with MinRotationDistWindow, whose
-// early-abandoned Euclidean search is both the matcher's actual metric and
-// cheaper under pruning. The O(n²) correlation here has no cutoff support
-// and should not appear on a hot path.
-func CrossCorrelationPeak(a, b Series) (shift int, corr float64, err error) {
-	if len(a) != len(b) {
-		return 0, 0, ErrLengthMismatch
-	}
-	if len(a) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	abuf := xcorrPool.Get().(*Series)
-	bbuf := xcorrPool.Get().(*Series)
-	an := a.ZNormalizeInto(*abuf)
-	bn := b.ZNormalizeInto(*bbuf)
-	defer func() {
-		*abuf = an[:0]
-		*bbuf = bn[:0]
-		xcorrPool.Put(abuf)
-		xcorrPool.Put(bbuf)
-	}()
-	n := len(a)
-	best := math.Inf(-1)
-	for k := 0; k < n; k++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			j := i + k
-			if j >= n {
-				j -= n
-			}
-			sum += an[i] * bn[j]
-		}
-		if sum > best {
-			best = sum
-			shift = k
-		}
-	}
-	return shift, best / float64(n), nil
 }

@@ -130,105 +130,6 @@ func TestMinRotationMirrorDist(t *testing.T) {
 	}
 }
 
-func TestDTWDistIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randSeries(rng, 30)
-	d, err := DTWDist(a, a, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d, 0, 1e-9) {
-		t.Fatalf("DTW(a,a) = %v, want 0", d)
-	}
-}
-
-func TestDTWLowerThanEuclidean(t *testing.T) {
-	// DTW with unlimited window is always ≤ Euclidean distance for
-	// equal-length series.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randSeries(rng, 20), randSeries(rng, 20)
-		dtw, err := DTWDist(a, b, -1)
-		if err != nil {
-			return false
-		}
-		de, _ := EuclideanDist(a, b)
-		return dtw <= de+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDTWWarpsShifts(t *testing.T) {
-	// A slightly time-shifted bump should be nearly free under DTW but
-	// costly under Euclidean distance.
-	n := 50
-	a, b := make(Series, n), make(Series, n)
-	for i := 0; i < n; i++ {
-		a[i] = math.Exp(-sq(float64(i-20)) / 20)
-		b[i] = math.Exp(-sq(float64(i-25)) / 20)
-	}
-	dtw, err := DTWDist(a, b, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	de, _ := EuclideanDist(a, b)
-	if dtw > de/4 {
-		t.Fatalf("DTW %v should be much smaller than Euclidean %v", dtw, de)
-	}
-}
-
-func TestDTWDifferentLengths(t *testing.T) {
-	a := Series{1, 2, 3, 2, 1}
-	b := Series{1, 2, 2.5, 3, 2.5, 2, 1}
-	d, err := DTWDist(a, b, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 1.0 {
-		t.Fatalf("DTW over stretched copy too large: %v", d)
-	}
-	if _, err := DTWDist(a, Series{}, -1); err == nil {
-		t.Fatal("empty should fail")
-	}
-}
-
-func TestDTWBandWidening(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a, b := randSeries(rng, 40), randSeries(rng, 40)
-	d0, _ := DTWDist(a, b, 0) // band 0 == Euclidean on equal lengths
-	de, _ := EuclideanDist(a, b)
-	if !almostEq(d0, de, 1e-9) {
-		t.Fatalf("band-0 DTW %v != Euclidean %v", d0, de)
-	}
-	dPrev := d0
-	for _, w := range []int{1, 2, 5, 40} {
-		dw, _ := DTWDist(a, b, w)
-		if dw > dPrev+1e-9 {
-			t.Fatalf("DTW should not increase with window: w=%d %v > %v", w, dw, dPrev)
-		}
-		dPrev = dw
-	}
-}
-
-func TestCrossCorrelationPeak(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := randSeries(rng, 32)
-	b := a.Rotate(7)
-	shift, corr, err := CrossCorrelationPeak(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corr < 0.999 {
-		t.Fatalf("corr = %v, want ≈1", corr)
-	}
-	if (shift+7)%len(a) != 0 && shift != len(a)-7 {
-		// shift such that b rotated aligns: a[i] == b[i+shift]
-		t.Fatalf("peak shift = %d", shift)
-	}
-}
-
 func sq(x float64) float64 { return x * x }
 
 func TestMinRotationDistWindowCutoff(t *testing.T) {
@@ -290,25 +191,6 @@ func TestZNormalizeInto(t *testing.T) {
 	}
 	if got := Series(nil).ZNormalizeInto(make(Series, 4)); len(got) != 0 {
 		t.Fatalf("empty series -> len %d", len(got))
-	}
-}
-
-func TestCrossCorrelationPeakPooledReuse(t *testing.T) {
-	// Repeated calls must keep returning correct values while drawing their
-	// normalisation buffers from the pool (allocation behaviour is covered
-	// by the benchmark; correctness under reuse is what matters here).
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 20; trial++ {
-		n := 16 + 16*(trial%3)
-		a := randSeries(rng, n)
-		b := a.Rotate(trial % n)
-		_, corr, err := CrossCorrelationPeak(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if corr < 0.999 {
-			t.Fatalf("trial %d: corr = %v", trial, corr)
-		}
 	}
 }
 

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hdc/internal/latency"
 )
 
 // Stage indexes one boundary timestamp in a frame's trace record. Stages a
@@ -130,39 +132,14 @@ type ring struct {
 	slots []slot
 }
 
-// histBuckets sizes the per-span latency histograms: bucket 0 holds
-// [0, 256ns); bucket i≥1 holds [256ns·2^(i-1), 256ns·2^i); the last bucket
-// is open-ended (≈9 min up).
-const (
-	histBuckets   = 32
-	histBucket0Ns = 256
-)
+// spanLayout is the per-span histograms' bucket layout: bucket 0 holds
+// [0, 256ns); bucket i≥1 holds [256ns·2^(i-1), 256ns·2^i); the last of the
+// 32 buckets is open-ended (≈9 min up). Recording is a few atomic adds on
+// the terminal path — never on a stage boundary.
+type spanLayout struct{}
 
-// spanHist is one span's cumulative latency histogram. Recording is a few
-// atomic adds on the terminal path — never on a stage boundary.
-type spanHist struct {
-	count   atomic.Uint64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// record folds one observed span duration into the histogram.
-func (h *spanHist) record(ns int64) {
-	h.count.Add(1)
-	h.totalNs.Add(ns)
-	for {
-		old := h.maxNs.Load()
-		if ns <= old || h.maxNs.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-	b := 0
-	for lim := int64(histBucket0Ns); ns >= lim && b < histBuckets-1; lim *= 2 {
-		b++
-	}
-	h.buckets[b].Add(1)
-}
+func (spanLayout) Bucket0Ns() int64 { return 256 }
+func (spanLayout) Buckets() int     { return 32 }
 
 // Tracer is the pipeline's trace recorder: one ring per worker, a frame-ID
 // counter, the owner-label table and the cumulative span histograms. All
@@ -176,7 +153,7 @@ type Tracer struct {
 	start     time.Time // monotonic base for all stamps
 	startUnix int64     // wall clock at start, anchors StartUnixNs on the wire
 
-	hists [numSpans]spanHist
+	hists [numSpans]latency.Histogram[spanLayout]
 
 	// Totals: begun counts Begin claims; the other three count terminal
 	// events. Snapshot loads the terminals before begun so the
@@ -365,7 +342,7 @@ func (h Handle) Finish(term Terminal) {
 		a := h.s.ts[sp.from].Load()
 		b := h.s.ts[sp.to].Load()
 		if a > 0 && b >= a {
-			h.t.hists[i].record(b - a)
+			h.t.hists[i].Record(b - a)
 		}
 	}
 	switch term {
@@ -446,18 +423,10 @@ func (t *Tracer) Snapshot(limit int) Snapshot {
 	snap.Totals.Begun = t.begun.Load()
 
 	for i, sp := range spans {
-		h := &t.hists[i]
-		st := SpanStats{Stage: sp.name, Count: h.count.Load(), MaxNs: h.maxNs.Load(), TotalNs: h.totalNs.Load()}
+		h := t.hists[i].Snapshot()
+		st := SpanStats{Stage: sp.name, Count: h.Count, MaxNs: h.MaxNs, TotalNs: h.TotalNs, P50Ns: h.P50Ns, P99Ns: h.P99Ns}
 		if st.Count > 0 {
 			st.MeanNs = st.TotalNs / int64(st.Count)
-			var counts [histBuckets]uint64
-			var total uint64
-			for b := range counts {
-				counts[b] = h.buckets[b].Load()
-				total += counts[b]
-			}
-			st.P50Ns = percentileUpperNs(counts[:], total, 50)
-			st.P99Ns = percentileUpperNs(counts[:], total, 99)
 		}
 		snap.Stages = append(snap.Stages, st)
 	}
@@ -527,22 +496,4 @@ func (t *Tracer) Snapshot(limit int) Snapshot {
 		snap.Frames = append(snap.Frames, ft)
 	}
 	return snap
-}
-
-// percentileUpperNs returns the exclusive upper bound of the histogram
-// bucket containing the p-th percentile rank (the estimator from the
-// service layer's latency histograms, at trace resolution).
-func percentileUpperNs(counts []uint64, total uint64, p int) int64 {
-	rank := total*uint64(p)/100 + 1
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return int64(histBucket0Ns) << uint(i)
-		}
-	}
-	return int64(histBucket0Ns) << uint(len(counts)-1)
 }

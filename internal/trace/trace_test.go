@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hdc/internal/latency"
 )
 
 // drive pushes one frame through all seven boundaries and finishes it.
@@ -239,19 +241,23 @@ func TestSpanNamesOrder(t *testing.T) {
 }
 
 func TestPercentileUpperNs(t *testing.T) {
-	var counts [histBuckets]uint64
+	if l := (spanLayout{}); l.Buckets() != 32 || l.Bucket0Ns() != 256 {
+		t.Fatalf("span layout %d×%dns, want 32×256ns", l.Buckets(), l.Bucket0Ns())
+	}
+	var h latency.Histogram[spanLayout]
+	counts := make([]uint64, spanLayout{}.Buckets())
 	counts[3] = 99 // 99 samples in [1024, 2048)
 	counts[8] = 1  // 1 sample in [32768, 65536)
-	if got := percentileUpperNs(counts[:], 100, 50); got != 256<<3 {
+	if got := h.PercentileUpperNs(counts, 100, 50); got != 256<<3 {
 		t.Fatalf("p50 = %d, want %d", got, 256<<3)
 	}
-	if got := percentileUpperNs(counts[:], 100, 99); got != 256<<8 {
+	if got := h.PercentileUpperNs(counts, 100, 99); got != 256<<8 {
 		t.Fatalf("p99 = %d, want %d (rank 100 lands on the lone outlier)", got, 256<<8)
 	}
-	if got := percentileUpperNs(counts[:], 100, 100); got != 256<<8 {
+	if got := h.PercentileUpperNs(counts, 100, 100); got != 256<<8 {
 		t.Fatalf("p100 = %d, want %d", got, 256<<8)
 	}
-	if got := percentileUpperNs(counts[:], 0, 50); got <= 0 {
+	if got := h.PercentileUpperNs(counts, 0, 50); got <= 0 {
 		t.Fatalf("empty histogram percentile = %d", got)
 	}
 }
