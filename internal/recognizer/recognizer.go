@@ -401,7 +401,7 @@ func (r *Recognizer) recognize(sc *Scratch, frame *raster.Gray) (Result, error) 
 // RecognizeDegraded is the overload/fault escape hatch: the same vision
 // front half, but the dictionary match runs only stage 0 of the lookup
 // cascade (the symbol-histogram lower bound — see sax.HistNearest) instead
-// of the full three-stage refinement. It is cheap enough to run on a request
+// of the full four-stage refinement. It is cheap enough to run on a request
 // goroutine without the worker pool, which is exactly when the serving layer
 // uses it. The returned Result has no RunnerUp/Margin/Confidence (stage 0
 // ranks by a bound, not exact distances) and Match.Dist is the bound — an

@@ -7,7 +7,7 @@ import (
 	"hdc/internal/timeseries"
 )
 
-// cascade.go is the storage-independent kernel of the three-stage lookup
+// cascade.go is the storage-independent kernel of the four-stage lookup
 // cascade (see lookup.go for the stage descriptions). The kernel is written
 // against the Corpus interface so the same best-first refinement loop — and
 // therefore the same deterministic, byte-identical results — runs over the
@@ -22,7 +22,7 @@ import (
 
 // Corpus is the storage abstraction the lookup cascade runs over: anything
 // that can enumerate per-entry symbol histograms (stage 0) and materialise a
-// full entry view on demand (stages 1–2).
+// full entry view on demand (stages 1–3).
 //
 // Implementations must be safe for the duration of one lookup: references
 // handed to AppendCandidate during ScanHist must stay resolvable by View
@@ -43,7 +43,10 @@ type Corpus interface {
 // EntryView is the cascade's read model of one stored entry: the label, the
 // SAX word and z-normalised series, and their precomputed mirror candidates
 // (reversed and rotated by one, see Entry). Backends that do not store the
-// mirrors materialise them into scratch buffers on demand.
+// mirrors materialise them into scratch buffers on demand. RevSeries must
+// be exactly that mirror of Series: the spectral stage bounds both
+// orientations from Series alone, because a mirror has the same DFT
+// magnitudes.
 type EntryView struct {
 	Label             string
 	Word, RevWord     Word
@@ -180,7 +183,7 @@ func insertTopK(dst []Match, seqs *[]uint64, k int, m Match, seq uint64) []Match
 	return dst
 }
 
-// CascadeLookupKZ runs the full three-stage cascade over an arbitrary corpus:
+// CascadeLookupKZ runs the full four-stage cascade over an arbitrary corpus:
 // the (up to) k nearest entries to the prepared query (canonical-length
 // z-normalised series z, its word qw) are written into dst, closest first.
 // enc and n are the corpus's encoder and canonical series length; wordWin
@@ -207,6 +210,7 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 	}
 	sc.stats = LookupStats{}
 	sc.qHist = histInto(sc.qHist, qw)
+	sc.align.Prepare(z)
 	sc.matchSeq = sc.matchSeq[:0]
 
 	// Stage 0: histogram lower bound per entry, delegated to the corpus
@@ -218,7 +222,7 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 	heapify(sc.cands)
 
 	// Best-first refinement: pop the smallest current bound; refine stage-0
-	// bounds to stage-1 and re-push, run the exact stage on refined ones.
+	// bounds to stage-1 and re-push, run stages 2 and 3 on refined ones.
 	// The prune comparisons are strict (>) so exact ties stay in play for
 	// the deterministic seq tie-break, matching the linear reference bit
 	// for bit.
@@ -275,23 +279,21 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 			continue
 		}
 
-		// Stage 2: exact rotation/mirror alignment.
+		// Stage 2: spectral lower bound. Prunes only when every shift of
+		// both orientations provably exceeds the cutoff, i.e. when stage 3
+		// would return +Inf and leave dst unchanged.
+		if sc.align.BoundExceeds(e.Series, cutoff) {
+			sc.stats.SpecPruned++
+			continue
+		}
+
+		// Stage 3: exact rotation/mirror alignment, bit-identical to the
+		// direct scan pair (forward, then the mirror under min(cutoff, d)).
 		sc.stats.ExactEvals++
-		d, shift, err := timeseries.MinRotationDistWindowCutoff(z, e.Series, seriesWin, cutoff)
+		d, shift, mirrored, err := sc.align.Align(e.Series, e.RevSeries, seriesWin, cutoff)
 		if err != nil {
 			sc.cands = sc.cands[:0]
 			return dst, err
-		}
-		mirrored := false
-		cutM := cutoff
-		if d < cutM {
-			cutM = d
-		}
-		if dRev, sRev, err := timeseries.MinRotationDistWindowCutoff(z, e.RevSeries, seriesWin, cutM); err != nil {
-			sc.cands = sc.cands[:0]
-			return dst, err
-		} else if dRev < d {
-			d, shift, mirrored = dRev, sRev, true
 		}
 		dst = insertTopK(dst, &sc.matchSeq, k, Match{
 			Label:    e.Label,

@@ -60,10 +60,11 @@ var ErrNoMatch = errors.New("sax: no match within threshold")
 // lock-free: Add never rewrites an existing element (append either extends
 // in place or copies to a fresh array), so concurrent lookups never
 // serialise against each other and an Add only briefly blocks them. Lookup
-// runs a three-stage pruning cascade (symbol-histogram lower bound →
-// rotation-windowed MINDIST → exact alignment, each stage cut off against
-// the best distance so far); LookupZLinear retains the unpruned linear scan
-// as the reference implementation and benchmark baseline.
+// runs a four-stage pruning cascade (symbol-histogram lower bound →
+// rotation-windowed MINDIST → spectral |DFT| bound → exact alignment, each
+// stage cut off against the best distance so far); LookupZLinear retains
+// the unpruned linear scan as the reference implementation and benchmark
+// baseline.
 type Database struct {
 	enc *Encoder
 	n   int // canonical series length
@@ -329,8 +330,10 @@ func RivalMargin(matches []Match) (abs, rel float64) {
 // entry is fully evaluated (rotation-windowed MINDIST for the word distance,
 // exact rotation/mirror alignment for the decision) with no index, no
 // cutoffs and no candidate ordering. It exists as the ground truth the
-// cascade is property-tested against (byte-identical Match results) and as
-// the baseline the BenchmarkDatabaseLookup* speedups are measured from.
+// cascade is property-tested against (byte-identical Match results on smooth
+// random shapes; word-level stages do not bound unaligned shifts, so exact
+// rotated copies can tie differently — see DESIGN.md) and as the baseline
+// the BenchmarkDatabaseLookup* speedups are measured from.
 func (db *Database) LookupZLinear(z timeseries.Series, qw Word, threshold float64) (Match, error) {
 	if qw.Alphabet != db.enc.AlphabetSize() || len(qw.Symbols) != db.enc.Segments() {
 		return Match{}, ErrWordMismatch

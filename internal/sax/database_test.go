@@ -263,3 +263,25 @@ func TestTuneGridValidation(t *testing.T) {
 		t.Fatal("empty sets should fail")
 	}
 }
+
+// TestLookupKZWithZeroAllocs pins the cascade's steady state — all four
+// stages, the aligner included — at zero allocations per lookup.
+func TestLookupKZWithZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	db := buildRandomDB(t, rng, 200, 20, 128)
+	z := randSmoothSeries(rng, 128).ZNormalize()
+	qw, err := db.Encoder().Encode(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewLookupScratch()
+	dst := make([]Match, 0, 4)
+	allocs := testing.AllocsPerRun(50, func() {
+		if dst, err = db.LookupKZWith(sc, z, qw, 4, dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("LookupKZWith allocates %v per lookup in steady state", allocs)
+	}
+}

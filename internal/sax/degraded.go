@@ -2,7 +2,7 @@ package sax
 
 // degraded.go is the cascade's emergency exit: stage 0 alone. Under
 // overload or a read-only store the serving layer cannot afford the full
-// three-stage refinement (whose exact stage is where the time and the
+// four-stage refinement (whose exact stage is where the time and the
 // mapped-memory traffic go), but the histogram lower bound — a linear pass
 // over precomputed per-entry symbol histograms, mapped memory for the
 // on-disk store — is cheap enough to run on the request goroutine without

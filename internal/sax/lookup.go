@@ -7,24 +7,32 @@ import (
 )
 
 // lookup.go binds in-memory entry slices — the Database's, and the on-disk
-// store's unsealed tail — to the three-stage pruning cascade of cascade.go:
+// store's unsealed tail — to the four-stage pruning cascade of cascade.go:
 //
 //	stage 0 — symbol-histogram lower bound (rotation/mirror invariant,
 //	          O(alphabet) per entry, see histogram.go), computed for every
 //	          entry of a point-in-time snapshot of the entry slice;
 //	stage 1 — rotation-windowed MINDIST over the word and its cached mirror,
 //	          early-abandoned against the best exact distance so far;
-//	stage 2 — exact rotation/mirror alignment at series level, likewise
-//	          cutoff-threaded.
+//	stage 2 — spectral lower bound: four low-frequency |DFT| magnitudes,
+//	          rotation and mirror invariant, so by Parseval below every
+//	          alignment (timeseries.Aligner.BoundExceeds, O(n) per entry);
+//	          it prunes only when stage 3 provably could not improve the
+//	          result;
+//	stage 3 — exact rotation/mirror alignment at series level, likewise
+//	          cutoff-threaded: an FFT cross-correlation of both orientations
+//	          picks the candidate shifts and the direct sum confirms them
+//	          (timeseries.Aligner.Align, bit-identical to the direct scan).
 //
 // Candidates flow through a single best-first refinement queue (the optimal
 // multi-step filter-and-refine pattern): a binary min-heap ordered by
 // (current lower bound, insertion seq). Popping a stage-0 candidate refines
 // its histogram bound to the rotation-windowed MINDIST bound and re-pushes
-// it; popping a refined candidate runs the exact alignment. Exact
-// evaluations therefore happen in true MINDIST order — the cutoff tightens
-// as early as possible — and the moment the queue's minimum bound exceeds
-// the current k-th best exact distance the remainder is rejected wholesale.
+// it; popping a refined candidate runs the spectral bound and, unless that
+// prunes it, the exact alignment. Exact evaluations therefore happen in
+// true MINDIST order — the cutoff tightens as early as possible — and the
+// moment the queue's minimum bound exceeds the current k-th best exact
+// distance the remainder is rejected wholesale.
 // All working storage lives in a LookupScratch, so the steady state
 // allocates nothing. The refinement loop itself lives in CascadeLookupKZ,
 // shared with the segmented on-disk store (internal/sax/store).
@@ -35,14 +43,16 @@ type LookupStats struct {
 	Entries    int // entries scanned in stage 0
 	HistPruned int // rejected wholesale by the histogram bound
 	WordPruned int // rejected by the rotation-windowed MINDIST bound
+	SpecPruned int // rejected by the spectral (|DFT|) bound
 	ExactEvals int // entries that reached the exact alignment stage
 }
 
 // LookupScratch holds the reusable per-caller state of the lookup cascade:
-// the query histogram, the candidate heap, the top-k working set and the
-// corpus view buffers. Hold one per worker goroutine (it must not be shared
-// between concurrent lookups) and pass it to LookupZWith/LookupKZWith; after
-// the first few calls the cascade reaches a zero-allocation steady state.
+// the query histogram, the candidate heap, the top-k working set, the
+// corpus view buffers and the prepared aligner. Hold one per worker
+// goroutine (it must not be shared between concurrent lookups) and pass it
+// to LookupZWith/LookupKZWith; after the first few calls the cascade
+// reaches a zero-allocation steady state.
 type LookupScratch struct {
 	qHist    []uint16
 	cands    []cand
@@ -59,6 +69,10 @@ type LookupScratch struct {
 	// store); the in-memory database caches its mirrors per entry instead.
 	viewW []byte
 	viewS timeseries.Series
+
+	// align is the query prepared for stages 2 and 3: its spectrum, norms
+	// and DFT magnitudes, computed once per lookup.
+	align timeseries.Aligner
 
 	stats LookupStats
 }

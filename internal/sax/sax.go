@@ -243,7 +243,8 @@ func (e *Encoder) MinDist(w, v Word, n int) (float64, error) {
 // MinDistRotation returns the minimum MINDIST over all circular rotations of
 // v, along with the minimising rotation. Word-level rotation is the cheap
 // first-stage filter for rotation-invariant shape lookup; exact alignment is
-// then confirmed at series level (timeseries.MinRotationDist).
+// then confirmed at series level (timeseries.MinRotationDist, or its
+// prepared form timeseries.Aligner in the lookup cascade).
 func (e *Encoder) MinDistRotation(w, v Word, n int) (best float64, shift int, err error) {
 	return e.MinDistRotationWindow(w, v, n, -1)
 }

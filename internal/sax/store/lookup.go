@@ -7,7 +7,7 @@ import (
 )
 
 // lookup.go adapts the store to the cascade kernel (sax.CascadeLookupKZ):
-// the same three-stage refinement that serves the in-memory Database runs
+// the same four-stage refinement that serves the in-memory Database runs
 // here over mapped segment memory plus the in-memory tail, producing
 // byte-identical results for the same insertion sequence.
 //

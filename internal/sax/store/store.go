@@ -18,7 +18,7 @@
 //   - a manifest (MANIFEST.json): the commit point naming the live segments;
 //     swapped atomically (tmp + fsync + rename) by compaction.
 //
-// Lookups run the same three-stage cascade as the in-memory Database —
+// Lookups run the same four-stage cascade as the in-memory Database —
 // sax.CascadeLookupKZ over sealed segments plus the in-memory tail — and
 // return byte-identical results for the same insertion sequence. Compaction
 // folds the tail into a new sealed segment in the background; readers are

@@ -381,3 +381,35 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 		t.Fatal("Create over an existing store must fail")
 	}
 }
+
+// TestLookupKZWithZeroAllocs pins the store lookup's steady state — sealed
+// segments and a tail, all four cascade stages — at zero allocations.
+func TestLookupKZWithZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n = 128
+	st, _ := buildPair(t, rng, filepath.Join(t.TempDir(), "st"), 150, n, Options{})
+	defer st.Close()
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := st.Add("late", randSmoothSeries(rng, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z := randSmoothSeries(rng, n).ZNormalize()
+	qw, err := st.Encoder().Encode(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sax.NewLookupScratch()
+	dst := make([]sax.Match, 0, 4)
+	allocs := testing.AllocsPerRun(50, func() {
+		if dst, err = st.LookupKZWith(sc, z, qw, 4, dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("LookupKZWith allocates %v per lookup in steady state", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,6 +50,22 @@ func BenchmarkMinRotationMirrorDist128(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := MinRotationMirrorDist(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAlignerMirror128 is the prepared aligner on the pair
+// BenchmarkMinRotationMirrorDist128 scans directly: both orientations of one
+// candidate, full rotation search, no cutoff.
+func BenchmarkAlignerMirror128(b *testing.B) {
+	x, y := benchPair(128)
+	r := y.Reverse().Rotate(-1)
+	var al Aligner
+	al.Prepare(x)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := al.Align(y, r, -1, math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

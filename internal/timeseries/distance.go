@@ -48,9 +48,9 @@ func EuclideanDistShifted(a, b Series, k int) (float64, error) {
 // distance of Xi et al.: rotating a closed contour's starting point
 // circularly shifts its centroid-distance signature.
 //
-// Complexity is O(n²); for the signature lengths used here (n ≤ 256) this is
-// comfortably inside the real-time budget, and the SAX layer prunes most
-// candidates before this runs.
+// This direct scan sums every rotation, O(n²); Aligner returns the same
+// result in O(n log n) per candidate for callers that align one query
+// against many series (the sax lookup cascade).
 func MinRotationDist(a, b Series) (best float64, shift int, err error) {
 	return MinRotationDistWindow(a, b, -1)
 }
@@ -68,13 +68,12 @@ func MinRotationDistWindow(a, b Series, maxShift int) (best float64, shift int, 
 // MinRotationDistWindowCutoff is MinRotationDistWindow with a best-so-far
 // cutoff threaded into the inner loop: every shift's running sum is abandoned
 // as soon as it can no longer beat min(local best, cutoff). Callers that scan
-// many candidates (the sax database cascade) pass their global best distance
-// so hopeless candidates cost a handful of additions instead of a full pass.
+// many candidates pass their global best distance so hopeless candidates
+// cost a handful of additions instead of a full pass.
 //
-// When no rotation beats the cutoff the returned distance is not meaningful
-// (it may be +Inf or any abandoned partial minimum ≥ cutoff); callers must
-// treat any result ≥ cutoff as "no improvement". A cutoff of +Inf recovers
-// the exact MinRotationDistWindow semantics.
+// When every rotation's squared distance exceeds cutoff² the result is +Inf
+// at shift 0; callers must treat any result ≥ cutoff as "no improvement". A
+// cutoff of +Inf recovers the exact MinRotationDistWindow semantics.
 func MinRotationDistWindowCutoff(a, b Series, maxShift int, cutoff float64) (best float64, shift int, err error) {
 	if len(a) != len(b) {
 		return 0, 0, ErrLengthMismatch
@@ -82,15 +81,29 @@ func MinRotationDistWindowCutoff(a, b Series, maxShift int, cutoff float64) (bes
 	if len(a) == 0 {
 		return 0, 0, ErrEmpty
 	}
-	n := len(a)
+	bestSS, shift := minShiftSS(a, b, shiftBound(len(a), maxShift), cutoff*cutoff, nil, 0)
+	return math.Sqrt(bestSS), shift, nil
+}
+
+// shiftBound normalises a shift window for series of length n: maxShift < 0
+// or ≥ n/2 covers every rotation symmetrically.
+func shiftBound(n, maxShift int) int {
 	if maxShift < 0 || maxShift >= n/2 {
-		maxShift = n / 2 // symmetric full coverage
+		return n / 2
 	}
-	bestSS := math.Inf(1)
-	cutSS := math.Inf(1)
-	if !math.IsInf(cutoff, 1) {
-		cutSS = cutoff * cutoff
-	}
+	return maxShift
+}
+
+// minShiftSS is the direct rotation scan shared by
+// MinRotationDistWindowCutoff and Aligner: shifts in the order 0, 1, n−1, 2,
+// n−2, …, ±maxShift, each summed by shiftSS under lim = min(best so far,
+// cutSS), a shift winning only on a strict < — so the result is the
+// smallest sum ≤ cutSS with the first shift attaining it, or +Inf at shift
+// 0. When est is non-nil, shifts with est[k] > hi are skipped (Aligner's
+// candidate filter; a NaN estimate is never skipped).
+func minShiftSS(a, b Series, maxShift int, cutSS float64, est []float64, hi float64) (bestSS float64, shift int) {
+	n := len(a)
+	bestSS = math.Inf(1)
 	for k := 0; k <= maxShift; k++ {
 		for s := 0; s < 2; s++ {
 			kk := k
@@ -100,31 +113,43 @@ func MinRotationDistWindowCutoff(a, b Series, maxShift int, cutoff float64) (bes
 				}
 				kk = n - k
 			}
+			if est != nil && est[kk] > hi {
+				continue
+			}
 			lim := bestSS
 			if cutSS < lim {
 				lim = cutSS
 			}
-			var ss float64
-			abandoned := false
-			for i := 0; i < n; i++ {
-				j := i + kk
-				if j >= n {
-					j -= n
-				}
-				d := a[i] - b[j]
-				ss += d * d
-				if ss > lim { // early abandon: cannot beat local best or cutoff
-					abandoned = true
-					break
-				}
-			}
-			if !abandoned && ss < bestSS {
-				bestSS = ss
-				shift = kk
+			if ss, ok := shiftSS(a, b, kk, lim); ok && ss < bestSS {
+				bestSS, shift = ss, kk
 			}
 		}
 	}
-	return math.Sqrt(bestSS), shift, nil
+	return bestSS, shift
+}
+
+// shiftSS returns Σᵢ (a[i] − b[(i+k) mod n])², accumulated in index order,
+// with ok = false as soon as the running sum exceeds lim (early abandon).
+// It is the one definition of the exact sum: every distance the lookup
+// reports is this value's square root.
+func shiftSS(a, b Series, k int, lim float64) (ss float64, ok bool) {
+	n := len(a)
+	head, wrap := b[k:n], b[:k]
+	for i, x := range a[:n-k] {
+		d := x - head[i]
+		ss += d * d
+		if ss > lim {
+			return ss, false
+		}
+	}
+	for i, x := range a[n-k:] {
+		d := x - wrap[i]
+		ss += d * d
+		if ss > lim {
+			return ss, false
+		}
+	}
+	return ss, true
 }
 
 // MinRotationMirrorDist extends MinRotationDist to also consider the
