@@ -280,7 +280,10 @@ func parseSpec(s string) (policy, error) {
 	}
 	if i := strings.Index(rest, "%"); i >= 0 {
 		pct, err := strconv.ParseFloat(rest[:i], 64)
-		if err != nil || pct < 0 || pct > 100 {
+		// Written as a range test rather than pct < 0 || pct > 100, which
+		// NaN passes: a NaN probability would skip eval's gate and fire
+		// on every hit.
+		if err != nil || !(pct >= 0 && pct <= 100) {
 			return pol, fmt.Errorf("bad probability %q", rest[:i])
 		}
 		pol.pct = pct / 100

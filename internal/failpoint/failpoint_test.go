@@ -134,7 +134,7 @@ func TestConfigure(t *testing.T) {
 }
 
 func TestSpecErrors(t *testing.T) {
-	for _, spec := range []string{"", "200%error()", "x*error()", "0*error()", "delay(nope)", "delay(-1s)", "error(unterminated", "explode"} {
+	for _, spec := range []string{"", "200%error()", "x*error()", "0*error()", "delay(nope)", "delay(-1s)", "error(unterminated", "explode", "NaN%error", "nan%error", "+Inf%error"} {
 		if _, err := parseSpec(spec); err == nil {
 			t.Errorf("spec %q: want parse error", spec)
 		}
@@ -144,6 +144,62 @@ func TestSpecErrors(t *testing.T) {
 			t.Errorf("spec %q: %v", spec, err)
 		}
 	}
+}
+
+// TestNaNProbabilityRejected pins that a NaN probability is a spec error,
+// not a policy that fires on every hit.
+func TestNaNProbabilityRejected(t *testing.T) {
+	defer DisableAll()
+	for _, spec := range []string{"NaN%error", "nan%error"} {
+		if err := Enable("t/nan", spec); err == nil {
+			t.Errorf("Enable(%q) armed a point", spec)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if err := Inject("t/nan"); err != nil {
+			t.Fatalf("hit %d fired: %v", i, err)
+		}
+	}
+}
+
+// FuzzFailpointSpec checks that any spec either fails to arm or arms a
+// policy eval can honour: a probability in [0, 1], an unlimited or positive
+// count, and a known action.
+func FuzzFailpointSpec(f *testing.F) {
+	for _, spec := range []string{
+		"error", "error(disk full)", "25%error(x)", "3*delay(5ms)", "10%2*panic",
+		"NaN%error", "nan%error", "Inf%error", "-0%error", "1e400%error",
+		"100%error", "0%error", "0x1p-2%error", "1_0%error", "%error",
+		"0*error", "-1*error", "9223372036854775808*error", "delay(-1s)",
+		"delay(9999999h)", "error(", "panic()", "", "off", "%%", "*", "()",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		defer DisableAll()
+		if err := Enable("fuzz/spec", spec); err != nil {
+			return
+		}
+		v, ok := points.Load("fuzz/spec")
+		if !ok {
+			t.Fatalf("spec %q: Enable returned nil but armed nothing", spec)
+		}
+		pol := v.(*point).pol
+		if !(pol.pct >= 0 && pol.pct <= 1) {
+			t.Errorf("spec %q: probability %v outside [0, 1]", spec, pol.pct)
+		}
+		if pol.count != -1 && pol.count < 1 {
+			t.Errorf("spec %q: count %d", spec, pol.count)
+		}
+		switch pol.action {
+		case actError, actDelay, actPanic:
+		default:
+			t.Errorf("spec %q: unknown action %d", spec, pol.action)
+		}
+		if pol.action == actDelay && pol.delay < 0 {
+			t.Errorf("spec %q: negative delay %v", spec, pol.delay)
+		}
+	})
 }
 
 func TestReenableResetsPolicy(t *testing.T) {

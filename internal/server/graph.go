@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -325,8 +324,8 @@ type LedringResult struct {
 
 // handleGraphLedring answers POST /v1/graph/ledring.
 func (s *Server) handleGraphLedring(w http.ResponseWriter, r *http.Request) (int, bool) {
-	var req graphLedringRequest
-	if err := decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanLedring)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return 0, true
 	}
@@ -392,8 +391,8 @@ type IMUResult struct {
 
 // handleGraphIMU answers POST /v1/graph/imu.
 func (s *Server) handleGraphIMU(w http.ResponseWriter, r *http.Request) (int, bool) {
-	var req graphIMURequest
-	if err := decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanIMU)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return 0, true
 	}
@@ -450,8 +449,8 @@ type FlightResult struct {
 
 // handleGraphFlight answers POST /v1/graph/flight.
 func (s *Server) handleGraphFlight(w http.ResponseWriter, r *http.Request) (int, bool) {
-	var req graphFlightRequest
-	if err := decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanFlight)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return 0, true
 	}
@@ -485,14 +484,6 @@ func (s *Server) handleGraphFlight(w http.ResponseWriter, r *http.Request) (int,
 		Results []FlightResult `json:"results"`
 	}{results})
 	return len(vals), failed
-}
-
-// decodeJSONBody reads one bounded JSON request body into v.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // secondsToDuration converts a wire t_s to the IMU sample clock.

@@ -6,6 +6,7 @@ import (
 	"image/png"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -59,6 +60,83 @@ func TestDecodePNGFrame(t *testing.T) {
 	if got := frames[0].Pix[0]; got < 195 || got > 205 {
 		t.Fatalf("luma conversion off: %d", got)
 	}
+}
+
+// FuzzRawFrames drives the octet-stream frame decoder with arbitrary
+// geometry headers and bodies. A refused request must hand every frame it
+// drew back to the pool; an accepted one must carry count frames of W×H
+// bytes, each the matching slice of the body, and balance the pool once
+// released.
+func FuzzRawFrames(f *testing.F) {
+	const maxBatch = 16
+	body := make([]byte, 3*4*5)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	for _, s := range []struct {
+		w, h, count string
+		single      bool
+		body        []byte
+	}{
+		{"4", "5", "3", false, body},
+		{"4", "5", "", false, body},
+		{"4", "5", "3", true, body},
+		{"4", "5", "4", false, body},
+		{"4", "5", "17", false, body},
+		{"4", "5", "0", false, body},
+		{"4", "5", "-1", false, body},
+		{"0", "5", "1", false, body},
+		{"-4", "-5", "1", false, body},
+		{"4096", "4096", "1", false, nil},
+		{"4097", "4096", "1", false, nil},
+		{"1", "16777216", "1", false, nil},
+		{"1", "16777217", "1", false, nil},
+		{"4294967296", "4294967296", "1", false, body},
+		{"9223372036854775807", "2", "1", false, body},
+		{"2", "9223372036854775807", "1", false, body},
+		{"9223372036854775808", "1", "1", false, body},
+		{"4", "5", "9223372036854775807", false, body},
+		{"4", "5", "x", false, body},
+		{"", "", "", false, nil},
+	} {
+		f.Add(s.w, s.h, s.count, s.single, s.body)
+	}
+	f.Fuzz(func(t *testing.T, w, h, count string, single bool, body []byte) {
+		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
+		req.Header.Set("X-Frame-Width", w)
+		req.Header.Set("X-Frame-Height", h)
+		req.Header.Set("X-Frame-Count", count)
+		var pool raster.Pool
+		frames, err := decodeRawFrames(req, &pool, maxBatch, single)
+		gets, puts := pool.Stats()
+		if err != nil {
+			if frames != nil || gets != puts {
+				t.Fatalf("refused request (%v) left %d frames, pool gets %d puts %d", err, len(frames), gets, puts)
+			}
+			return
+		}
+		W, _ := strconv.Atoi(w)
+		H, _ := strconv.Atoi(h)
+		n := 1
+		if !single && count != "" {
+			n, _ = strconv.Atoi(count)
+		}
+		if len(frames) != n || gets != uint64(n) {
+			t.Fatalf("%d frames (%d gets), want %d", len(frames), gets, n)
+		}
+		for i, g := range frames {
+			if g.W != W || g.H != H || len(g.Pix) != W*H {
+				t.Fatalf("frame %d is %dx%d with %d bytes, want %dx%d", i, g.W, g.H, len(g.Pix), W, H)
+			}
+			if !bytes.Equal(g.Pix, body[i*W*H:(i+1)*W*H]) {
+				t.Fatalf("frame %d does not match its body slice", i)
+			}
+		}
+		releaseFrames(&pool, frames)
+		if gets, puts := pool.Stats(); gets != puts {
+			t.Fatalf("released frames: pool gets %d puts %d", gets, puts)
+		}
+	})
 }
 
 // TestResultToWireNonFinite pins the -1 sentinel for +Inf margins — JSON

@@ -54,34 +54,3 @@ func TestLogConcurrentEmitAndRead(t *testing.T) {
 		t.Fatalf("counter drifted: %d, want %d", got, writers*perWriter)
 	}
 }
-
-// TestHistogramConcurrentObserve checks Observe/Summarize under parallel
-// load — the per-frame latency histogram shared by pipeline workers.
-func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram()
-	const workers = 8
-	const perWorker = 500
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(time.Duration(w*perWorker+i) * time.Microsecond)
-				if i%100 == 0 {
-					_ = h.Summarize()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	s := h.Summarize()
-	if s.N != workers*perWorker {
-		t.Fatalf("lost samples: %d, want %d", s.N, workers*perWorker)
-	}
-	if s.Min > s.P50 || s.P50 > s.P99 || s.P99 > s.Max {
-		t.Fatalf("order statistics inconsistent: %+v", s)
-	}
-}

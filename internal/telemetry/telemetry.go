@@ -1,13 +1,11 @@
-// Package telemetry provides the structured event log, counters and timing
-// summaries the simulation and the experiment harness share: every
+// Package telemetry provides the structured event log, counters and
+// tables the simulation and the experiment harness share: every
 // negotiation step, safety trigger and mission milestone lands here, and
 // the harness renders them as the markdown tables in EXPERIMENTS.md.
 package telemetry
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -89,73 +87,6 @@ func (l *Log) String() string {
 		fmt.Fprintf(&sb, "[%8.2fs] %-10s %-16s %s\n", e.At.Seconds(), e.Source, e.Kind, e.Detail)
 	}
 	return sb.String()
-}
-
-// Histogram is a simple duration histogram for latency reporting.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// NewHistogram creates an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = append(h.samples, d)
-}
-
-// N returns the sample count.
-func (h *Histogram) N() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Summary holds order statistics of a histogram.
-type Summary struct {
-	N             int
-	Min, Max      time.Duration
-	Mean          time.Duration
-	P50, P90, P99 time.Duration
-}
-
-// Summarize computes order statistics. A zero Summary is returned for an
-// empty histogram.
-func (h *Histogram) Summarize() Summary {
-	h.mu.Lock()
-	samples := make([]time.Duration, len(h.samples))
-	copy(samples, h.samples)
-	h.mu.Unlock()
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	var total time.Duration
-	for _, s := range samples {
-		total += s
-	}
-	q := func(p float64) time.Duration {
-		idx := int(math.Ceil(p*float64(len(samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(samples) {
-			idx = len(samples) - 1
-		}
-		return samples[idx]
-	}
-	return Summary{
-		N:    len(samples),
-		Min:  samples[0],
-		Max:  samples[len(samples)-1],
-		Mean: total / time.Duration(len(samples)),
-		P50:  q(0.50),
-		P90:  q(0.90),
-		P99:  q(0.99),
-	}
 }
 
 // Table builds aligned markdown tables for the experiment reports.

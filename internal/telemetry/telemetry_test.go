@@ -61,32 +61,6 @@ func TestLogConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramSummary(t *testing.T) {
-	h := NewHistogram()
-	if s := h.Summarize(); s.N != 0 {
-		t.Fatal("empty summary should be zero")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	s := h.Summarize()
-	if s.N != 100 || h.N() != 100 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max: %v %v", s.Min, s.Max)
-	}
-	if s.P50 != 50*time.Millisecond {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if s.P90 != 90*time.Millisecond || s.P99 != 99*time.Millisecond {
-		t.Fatalf("P90/P99 = %v %v", s.P90, s.P99)
-	}
-	if s.Mean != 50500*time.Microsecond {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-}
-
 func TestTableMarkdown(t *testing.T) {
 	tb := NewTable("az", "dist", "ok")
 	tb.AddRow("0", "0.00", "yes")
