@@ -29,10 +29,12 @@ func e22Sizes() []int {
 
 // E22Store measures the segmented on-disk sign store (internal/sax/store)
 // against the in-memory database: mapped-segment lookup latency and the
-// cascade's prune rate (candidates rejected by the mapped lower bounds
-// without an exact evaluation) as the dictionary grows to a million entries,
+// cascade's prune rate (candidates rejected by the spectral bound without
+// an exact evaluation) as the dictionary grows to a million entries,
 // steady-state lookup allocations, and what the format buys at start-up —
-// opening (mmap + header validation) versus re-parsing the v1 JSON artefact.
+// opening (mmap + header validation) versus re-parsing the v1 JSON artefact
+// — together with the first lookup after an open, which derives the sealed
+// segments' spectra.
 func E22Store() (string, error) {
 	const seriesLen = 128
 	rng := rand.New(rand.NewSource(42))
@@ -60,7 +62,7 @@ func E22Store() (string, error) {
 
 	sizes := e22Sizes()
 	tab := telemetry.NewTable("entries", "memory µs/lookup", "store µs/lookup",
-		"store/mem", "pruned before exact", "spec-pruned", "allocs/op", "open ms", "disk MB")
+		"store/mem", "spec-pruned", "allocs/op", "open ms", "1st lookup ms", "disk MB")
 	var openVsParse string
 
 	for _, size := range sizes {
@@ -142,7 +144,12 @@ func E22Store() (string, error) {
 			memLookup = time.Since(start)
 		}
 
+		// One untimed lookup derives the segments' spectra, which the
+		// first-lookup column reports separately.
 		sc := sax.NewLookupScratch()
+		if _, err := st.LookupZWith(sc, zs[0], words[0], math.Inf(1)); err != nil {
+			return "", err
+		}
 		var agg sax.LookupStats
 		start := time.Now()
 		for qi := range zs {
@@ -150,8 +157,6 @@ func E22Store() (string, error) {
 				return "", err
 			}
 			stt := sc.Stats()
-			agg.HistPruned += stt.HistPruned
-			agg.WordPruned += stt.WordPruned
 			agg.SpecPruned += stt.SpecPruned
 			agg.ExactEvals += stt.ExactEvals
 		}
@@ -174,6 +179,11 @@ func E22Store() (string, error) {
 			return "", err
 		}
 		openTime := time.Since(start)
+		start = time.Now()
+		if _, err := st.LookupZWith(sc, zs[0], words[0], math.Inf(1)); err != nil {
+			return "", err
+		}
+		firstLookup := time.Since(start)
 
 		if buildMem && size >= 20_000 {
 			jsonPath := filepath.Join(root, fmt.Sprintf("dict-%d.json", size))
@@ -217,10 +227,10 @@ func E22Store() (string, error) {
 			memUS,
 			fmt.Sprintf("%.0f", float64(stLookup.Microseconds())/float64(queries)),
 			ratio,
-			fmt.Sprintf("%.2f%%", 100*(1-float64(agg.ExactEvals)/float64(uint64(queries)*uint64(size)))),
 			fmt.Sprintf("%.2f%%", 100*float64(agg.SpecPruned)/float64(uint64(queries)*uint64(size))),
 			fmt.Sprintf("%.0f", allocs),
 			fmt.Sprintf("%.1f", float64(openTime.Microseconds())/1e3),
+			fmt.Sprintf("%.1f", float64(firstLookup.Microseconds())/1e3),
 			fmt.Sprintf("%.0f", float64(stats.DiskBytes)/1e6),
 		)
 		if err := st.Close(); err != nil {
@@ -237,19 +247,23 @@ func E22Store() (string, error) {
 	sb.WriteString("fleet-scale dictionaries E18 motivates. The segmented store keeps the\n")
 	sb.WriteString("dictionary in immutable mmap-able segment files (fixed-width columns:\n")
 	sb.WriteString("SAX words, z-normalised series, and a precomputed symbol-histogram\n")
-	sb.WriteString("prune block, so the cascade's stage 0 runs straight over mapped\n")
-	sb.WriteString("memory), appends through a checksummed WAL, and folds the tail into\n")
-	sb.WriteString("sealed segments in the background. Lookup results are byte-identical\n")
-	sb.WriteString("to the in-memory database (enforced by randomized equivalence tests).\n\n")
+	sb.WriteString("block for the degraded mode), appends through a checksummed WAL, and\n")
+	sb.WriteString("folds the tail into sealed segments in the background. The cascade's\n")
+	sb.WriteString("spectral bound reads per-entry |DFT| magnitudes that each segment\n")
+	sb.WriteString("derives from its mapped series on its first lookup, so opening stays\n")
+	sb.WriteString("a validation scan. Lookup results are bit-identical to the in-memory\n")
+	sb.WriteString("database and to its linear scan (enforced by differential tests and\n")
+	sb.WriteString("a fuzz target).\n\n")
 	sb.WriteString(tab.Markdown())
-	sb.WriteString("\npruned before exact is the fraction of the dictionary rejected by the\n")
-	sb.WriteString("lower bounds (stage-0 mapped histogram, stage-1 MINDIST or stage-2\n")
-	sb.WriteString("spectral bound; spec-pruned is stage 2's share) without ever\n")
-	sb.WriteString("reaching the exact alignment, measured with no distance cutoff —\n")
-	sb.WriteString("the worst case for the cascade. Serving lookups thread the\n")
-	sb.WriteString("recognizer's match threshold through as a cutoff and reject wholesale\n")
-	sb.WriteString("far earlier. allocs/op is the store lookup's steady state (gated at 0\n")
-	sb.WriteString("by BenchmarkStoreLookup100k).\n\n")
+	sb.WriteString("\nspec-pruned is the fraction of the dictionary the spectral bound\n")
+	sb.WriteString("rejected without an exact alignment, measured with no distance\n")
+	sb.WriteString("cutoff — the worst case for the cascade; every other entry was\n")
+	sb.WriteString("aligned exactly. Serving lookups thread the recognizer's match\n")
+	sb.WriteString("threshold through as a cutoff and reject wholesale far earlier.\n")
+	sb.WriteString("allocs/op is the store lookup's steady state (gated at 0 by\n")
+	sb.WriteString("BenchmarkStoreLookup100k). 1st lookup ms is the first lookup after\n")
+	sb.WriteString("the cold open, which derives every sealed segment's spectra; store\n")
+	sb.WriteString("µs/lookup excludes it.\n\n")
 	if openVsParse != "" {
 		sb.WriteString(openVsParse)
 	}

@@ -7,84 +7,79 @@ import (
 	"hdc/internal/timeseries"
 )
 
-// cascade.go is the storage-independent kernel of the four-stage lookup
-// cascade (see lookup.go for the stage descriptions). The kernel is written
-// against the Corpus interface so the same best-first refinement loop — and
-// therefore the same deterministic, byte-identical results — runs over the
-// in-memory Database and over the segmented on-disk store
-// (internal/sax/store), whose stage-0 histograms live in memory-mapped
-// segment files instead of heap entries.
+// cascade.go is the storage-independent kernel of the two-stage lookup
+// cascade (see lookup.go for the stages). The kernel is written against the
+// Corpus interface so the same best-first loop — and therefore the same
+// deterministic, bit-identical results — runs over the in-memory Database
+// and over the segmented on-disk store (internal/sax/store), whose entries
+// live in memory-mapped segment files instead of heap entries.
 //
 // A Corpus hands the kernel opaque 64-bit entry references plus the entry's
-// global insertion sequence number; the kernel orders its candidate heap by
-// (lower bound, seq) exactly as before, so exact-distance ties resolve
-// identically regardless of which backend produced the candidates.
+// global insertion sequence number and its Spectrum; the kernel orders its
+// candidate heap by (spectral lower bound, seq), so exact-distance ties
+// resolve identically regardless of which backend produced the candidates.
 
 // Corpus is the storage abstraction the lookup cascade runs over: anything
-// that can enumerate per-entry symbol histograms (stage 0) and materialise a
-// full entry view on demand (stages 1–3).
+// that can enumerate per-entry spectra (the cascade's candidate scan) and
+// symbol histograms (the degraded-mode scan, see HistNearest), and resolve
+// an entry reference to a view on demand.
 //
 // Implementations must be safe for the duration of one lookup: references
-// handed to AppendCandidate during ScanHist must stay resolvable by View
-// until the lookup returns, even if the corpus is concurrently appended to
-// (both backends guarantee this with immutable, append-only storage).
+// handed to the scratch during a scan must stay resolvable by View until the
+// lookup returns, even if the corpus is concurrently appended to (both
+// backends guarantee this with immutable, append-only storage).
 type Corpus interface {
-	// ScanHist runs stage 0: for every entry, compute the histogram lower
-	// bound against the query histogram qh (Encoder.HistLowerBoundRaw) and
-	// record the candidate with sc.AppendCandidate.
+	// ScanSpectra records every entry with sc.AppendSpectral.
+	ScanSpectra(sc *LookupScratch)
+	// ScanHist records every entry with sc.AppendCandidate and its
+	// histogram lower bound against the query histogram qh
+	// (Encoder.HistLowerBoundRaw).
 	ScanHist(sc *LookupScratch, qh []uint16)
-	// View materialises the entry behind ref for the refinement stages. The
-	// returned view may borrow scratch buffers (sc.ViewScratch) or
-	// memory-mapped storage; it is only valid until the next View call on
-	// the same scratch, which is all the kernel needs.
+	// View resolves ref. The view borrows the corpus's storage — heap
+	// entries or mapped segment memory — and copies nothing.
 	View(sc *LookupScratch, ref uint64) EntryView
 }
 
 // EntryView is the cascade's read model of one stored entry: the label, the
-// SAX word and z-normalised series, and their precomputed mirror candidates
-// (reversed and rotated by one, see Entry). Backends that do not store the
-// mirrors materialise them into scratch buffers on demand. RevSeries must
-// be exactly that mirror of Series: the spectral stage bounds both
-// orientations from Series alone, because a mirror has the same DFT
-// magnitudes.
+// SAX word and the z-normalised series. The mirror candidate is not stored:
+// the aligner derives it from Series for the few entries that reach exact
+// alignment.
 type EntryView struct {
-	Label             string
-	Word, RevWord     Word
-	Series, RevSeries timeseries.Series
+	Label  string
+	Word   Word
+	Series timeseries.Series
 }
 
-// cand is one candidate-queue element: an opaque corpus reference, the
-// entry's insertion seq (deterministic tie break), and its current lower
-// bound — histogram-level (refined=false) or word-MINDIST-level
-// (refined=true).
+// cand is one candidate-heap element: an opaque corpus reference, the
+// entry's insertion seq (deterministic tie break), its lower bound — the
+// squared spectral bound in the cascade, the histogram bound in degraded
+// mode — and, in the cascade, the entry's squared norm for the bound's
+// tolerance.
 type cand struct {
-	ref     uint64
-	seq     uint64
-	lb      float64
-	refined bool
+	ref uint64
+	seq uint64
+	lb  float64
+	ee  float64
 }
 
-// AppendCandidate records one stage-0 candidate into the scratch: an opaque
-// entry reference (resolved later via Corpus.View), the entry's insertion
-// sequence number and its histogram lower bound. Corpus implementations call
-// it from ScanHist; the append reuses the scratch's candidate storage, so
-// the steady state allocates nothing.
+// AppendCandidate records one degraded-mode candidate into the scratch: an
+// opaque entry reference (resolved later via Corpus.View), the entry's
+// insertion sequence number and its histogram lower bound. Corpus
+// implementations call it from ScanHist; the append reuses the scratch's
+// candidate storage, so the steady state allocates nothing.
 func (sc *LookupScratch) AppendCandidate(ref, seq uint64, lb float64) {
 	sc.cands = append(sc.cands, cand{ref: ref, seq: seq, lb: lb})
 }
 
-// ViewScratch returns the scratch's reusable mirror buffers, sized to nb
-// word symbols and nf series samples: corpus implementations that store only
-// the forward candidate materialise the mirrored word/series here instead of
-// allocating. The buffers are overwritten by the next View call.
-func (sc *LookupScratch) ViewScratch(nb, nf int) ([]byte, timeseries.Series) {
-	if cap(sc.viewW) < nb {
-		sc.viewW = make([]byte, nb)
-	}
-	if cap(sc.viewS) < nf {
-		sc.viewS = make(timeseries.Series, nf)
-	}
-	return sc.viewW[:nb], sc.viewS[:nf]
+// AppendSpectral records one cascade candidate: an opaque entry reference,
+// the entry's insertion sequence number and its Spectrum, which must come
+// from a timeseries.SpecTable of the corpus's series length. Corpus
+// implementations call it from ScanSpectra.
+func (sc *LookupScratch) AppendSpectral(ref, seq uint64, es timeseries.Spectrum) {
+	sc.cands = append(sc.cands, cand{ref: ref, seq: seq, lb: sc.align.LowerBound(es), ee: es.SS})
+	// max keeps a NaN norm, which disables the wholesale break: a NaN
+	// bound has no place in the heap order the break relies on.
+	sc.maxEE = max(sc.maxEE, es.SS)
 }
 
 // errLookupK is returned for k < 1 lookups.
@@ -183,19 +178,20 @@ func insertTopK(dst []Match, seqs *[]uint64, k int, m Match, seq uint64) []Match
 	return dst
 }
 
-// CascadeLookupKZ runs the full four-stage cascade over an arbitrary corpus:
-// the (up to) k nearest entries to the prepared query (canonical-length
-// z-normalised series z, its word qw) are written into dst, closest first.
-// enc and n are the corpus's encoder and canonical series length; wordWin
-// and seriesWin bound the rotation searches (-1 = unbounded, see
+// CascadeLookupKZ runs the cascade over an arbitrary corpus: the (up to) k
+// nearest entries to the prepared query (canonical-length z-normalised
+// series z, its word qw) are written into dst, closest first. enc and n are
+// the corpus's encoder and canonical series length; wordWin and seriesWin
+// bound the rotation searches (-1 = unbounded, see
 // Database.SetShiftWindowFrac). dst is reused from the start — its existing
 // contents are discarded — and capacity ≥ k makes the call allocation-free
 // in steady state. The scratch must not be shared between concurrent
 // lookups; nil borrows one from an internal pool.
 //
 // This is the kernel behind Database.LookupKZWith and the on-disk store's
-// lookups; both backends return byte-identical Match sets for the same entry
-// sequence because every comparison, cutoff and tie break happens here.
+// lookups. Every returned Match equals, field for field and bit for bit,
+// what the exhaustive scan of Database.LookupZLinear computes for that
+// entry, and the set is the k smallest by (Dist, seq).
 func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, seriesWin int, z timeseries.Series, qw Word, k int, dst []Match) ([]Match, error) {
 	dst = dst[:0]
 	if k < 1 {
@@ -204,93 +200,59 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 	if qw.Alphabet != enc.alphabet || len(qw.Symbols) != enc.segments {
 		return dst, ErrWordMismatch
 	}
+	if len(z) != n {
+		return dst, timeseries.ErrLengthMismatch
+	}
 	if sc == nil {
 		sc = lookupScratchPool.Get().(*LookupScratch)
 		defer lookupScratchPool.Put(sc)
 	}
 	sc.stats = LookupStats{}
-	sc.qHist = histInto(sc.qHist, qw)
 	sc.align.Prepare(z)
 	sc.matchSeq = sc.matchSeq[:0]
 
-	// Stage 0: histogram lower bound per entry, delegated to the corpus
-	// (entry-slice scan for the in-memory database, mapped prune-index scan
-	// for the on-disk store).
+	// Stage 1: every entry's squared spectral bound, from the spectra the
+	// corpus precomputed.
 	sc.cands = sc.cands[:0]
-	cp.ScanHist(sc, sc.qHist)
+	sc.maxEE = 0
+	cp.ScanSpectra(sc)
 	sc.stats.Entries = len(sc.cands)
 	heapify(sc.cands)
+	slackMax := sc.align.BoundSlack(sc.maxEE)
 
-	// Best-first refinement: pop the smallest current bound; refine stage-0
-	// bounds to stage-1 and re-push, run stages 2 and 3 on refined ones.
-	// The prune comparisons are strict (>) so exact ties stay in play for
-	// the deterministic seq tie-break, matching the linear reference bit
-	// for bit.
+	// Best-first: pop the smallest bound and align it exactly unless the
+	// bound proves it cannot enter the result. The cutoff is the k-th best
+	// distance nudged up one ulp: the aligner abandons a candidate whose
+	// squared distance exceeds cutoff², and the square of a rounded root
+	// can fall below the sum it came from, so without the nudge a later
+	// entry that ties the k-th exactly could be dropped before the seq
+	// tie-break sees it. One ulp up covers that rounding (DESIGN.md), and a
+	// larger cutoff only prunes less.
 	h := sc.cands
 	for len(h) > 0 {
 		cutoff := math.Inf(1)
 		if len(dst) == k {
-			cutoff = dst[k-1].Dist
+			cutoff = math.Nextafter(dst[k-1].Dist, math.Inf(1))
 		}
+		cut2 := cutoff * cutoff
 		var c cand
 		c, h = heapPop(h)
-		if c.lb > cutoff {
-			// Heap order: every remaining bound is at least this one.
-			// Count the wholesale rejection by the stage that produced
-			// each surviving bound.
-			if c.refined {
-				sc.stats.WordPruned++
-			} else {
-				sc.stats.HistPruned++
-			}
-			for i := range h {
-				if h[i].refined {
-					sc.stats.WordPruned++
-				} else {
-					sc.stats.HistPruned++
-				}
-			}
+		if c.lb > cut2+slackMax {
+			// Heap order: every remaining bound is at least this one, and
+			// slackMax is at least every remaining candidate's slack.
+			sc.stats.SpecPruned += 1 + len(h)
 			break
 		}
-		e := cp.View(sc, c.ref)
-
-		if !c.refined {
-			// Stage 1: MINDIST over word and mirror word.
-			wlb, _, err := enc.MinDistRotationWindowCutoff(qw, e.Word, n, wordWin, cutoff)
-			if err != nil {
-				sc.cands = sc.cands[:0]
-				return dst, err
-			}
-			cutRev := cutoff
-			if wlb < cutRev {
-				cutRev = wlb
-			}
-			if wlbRev, _, err := enc.MinDistRotationWindowCutoff(qw, e.RevWord, n, wordWin, cutRev); err != nil {
-				sc.cands = sc.cands[:0]
-				return dst, err
-			} else if wlbRev < wlb {
-				wlb = wlbRev
-			}
-			if wlb > cutoff {
-				sc.stats.WordPruned++
-				continue
-			}
-			h = heapPush(h, cand{ref: c.ref, seq: c.seq, lb: wlb, refined: true})
-			continue
-		}
-
-		// Stage 2: spectral lower bound. Prunes only when every shift of
-		// both orientations provably exceeds the cutoff, i.e. when stage 3
-		// would return +Inf and leave dst unchanged.
-		if sc.align.BoundExceeds(e.Series, cutoff) {
+		if c.lb > cut2+sc.align.BoundSlack(c.ee) {
 			sc.stats.SpecPruned++
 			continue
 		}
 
-		// Stage 3: exact rotation/mirror alignment, bit-identical to the
+		// Stage 2: exact rotation/mirror alignment, bit-identical to the
 		// direct scan pair (forward, then the mirror under min(cutoff, d)).
 		sc.stats.ExactEvals++
-		d, shift, mirrored, err := sc.align.Align(e.Series, e.RevSeries, seriesWin, cutoff)
+		e := cp.View(sc, c.ref)
+		d, shift, mirrored, err := sc.align.AlignMirror(e.Series, seriesWin, cutoff)
 		if err != nil {
 			sc.cands = sc.cands[:0]
 			return dst, err
@@ -298,12 +260,20 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 		dst = insertTopK(dst, &sc.matchSeq, k, Match{
 			Label:    e.Label,
 			Word:     e.Word,
-			WordDist: c.lb,
 			Dist:     d,
 			Shift:    shift,
 			Mirrored: mirrored,
 		}, c.seq)
 	}
 	sc.cands = sc.cands[:0]
+
+	// The MINDIST word distance, for the returned matches only.
+	for i := range dst {
+		wd, err := enc.wordDist(qw, dst[i].Word, n, wordWin)
+		if err != nil {
+			return dst, err
+		}
+		dst[i].WordDist = wd
+	}
 	return dst, nil
 }

@@ -18,15 +18,12 @@ type Entry struct {
 	Word   Word
 	Series timeseries.Series // z-normalised reference signature
 
-	// revSeries and revWord cache the mirrored candidate (reversed, rotated
-	// by one so a pure reflection sits at shift 0 — see
-	// timeseries.MinRotationMirrorDistWindow), sparing every lookup the
-	// mirror allocation per entry.
-	revSeries timeseries.Series
-	revWord   Word
+	// spec is Series' DFT magnitudes and squared norm — rotation- and
+	// mirror-invariant, so one Spectrum bounds both candidates in the
+	// cascade's spectral stage.
+	spec timeseries.Spectrum
 
-	// hist is the symbol histogram of Word — rotation- and mirror-invariant,
-	// so one histogram serves both candidates in the stage-0 prefilter.
+	// hist is the symbol histogram of Word, the degraded mode's prefilter.
 	hist []uint16
 
 	// seq is the global insertion sequence number: a stable identity used to
@@ -60,14 +57,14 @@ var ErrNoMatch = errors.New("sax: no match within threshold")
 // lock-free: Add never rewrites an existing element (append either extends
 // in place or copies to a fresh array), so concurrent lookups never
 // serialise against each other and an Add only briefly blocks them. Lookup
-// runs a four-stage pruning cascade (symbol-histogram lower bound →
-// rotation-windowed MINDIST → spectral |DFT| bound → exact alignment, each
-// stage cut off against the best distance so far); LookupZLinear retains
-// the unpruned linear scan as the reference implementation and benchmark
-// baseline.
+// runs a two-stage cascade (spectral |DFT| bound → exact alignment, both cut
+// off against the best distance so far); LookupZLinear retains the unpruned
+// linear scan as the reference implementation and benchmark baseline.
 type Database struct {
 	enc *Encoder
 	n   int // canonical series length
+
+	spec timeseries.SpecTable // computes each entry's Spectrum at insert
 
 	mu        sync.RWMutex
 	shiftFrac float64 // fraction of the series length the shift search may cover (≤0: full)
@@ -87,7 +84,7 @@ func NewDatabase(enc *Encoder, n int) (*Database, error) {
 	if n < enc.Segments() {
 		return nil, fmt.Errorf("sax: series length %d below word length %d", n, enc.Segments())
 	}
-	db := &Database{enc: enc, n: n}
+	db := &Database{enc: enc, n: n, spec: timeseries.NewSpecTable(n)}
 	db.corpus.db = db
 	return db, nil
 }
@@ -156,7 +153,7 @@ func (db *Database) Add(label string, s timeseries.Series) error {
 // encoded) entry. The derived forms are built outside the lock; the seq is
 // assigned under it, so slice order is seq order.
 func (db *Database) insert(label string, w Word, z timeseries.Series) {
-	e := NewEntry(0, label, w, z)
+	e := NewEntry(&db.spec, 0, label, w, z)
 	db.mu.Lock()
 	e.seq = uint64(len(db.entries)) + 1
 	db.entries = append(db.entries, e)
@@ -165,18 +162,18 @@ func (db *Database) insert(label string, w Word, z timeseries.Series) {
 
 // NewEntry builds the in-memory form of one prepared entry (z canonical-
 // length and z-normalised, w its encoding) with global insertion sequence
-// number seq, precomputing its mirrored candidate and symbol histogram. It
-// is the one constructor for in-memory entries: the Database and the
-// on-disk store's unsealed tail both hold its values.
-func NewEntry(seq uint64, label string, w Word, z timeseries.Series) Entry {
+// number seq, precomputing its Spectrum with tab (a table of z's length)
+// and its symbol histogram. It is the one constructor for in-memory
+// entries: the Database and the on-disk store's unsealed tail both hold its
+// values.
+func NewEntry(tab *timeseries.SpecTable, seq uint64, label string, w Word, z timeseries.Series) Entry {
 	return Entry{
-		Label:     label,
-		Word:      w,
-		Series:    z,
-		revSeries: z.Reverse().Rotate(-1),
-		revWord:   w.Reverse().Rotate(-1),
-		hist:      histOf(w),
-		seq:       seq,
+		Label:  label,
+		Word:   w,
+		Series: z,
+		spec:   tab.Of(z),
+		hist:   histOf(w),
+		seq:    seq,
 	}
 }
 
@@ -329,11 +326,10 @@ func RivalMargin(matches []Match) (abs, rel float64) {
 // LookupZLinear is the retained linear-scan reference implementation: every
 // entry is fully evaluated (rotation-windowed MINDIST for the word distance,
 // exact rotation/mirror alignment for the decision) with no index, no
-// cutoffs and no candidate ordering. It exists as the ground truth the
-// cascade is property-tested against (byte-identical Match results on smooth
-// random shapes; word-level stages do not bound unaligned shifts, so exact
-// rotated copies can tie differently — see DESIGN.md) and as the baseline
-// the BenchmarkDatabaseLookup* speedups are measured from.
+// cutoffs and no candidate ordering. It is the oracle the cascade is
+// property-tested and fuzzed against — identical Match results for every
+// input — and the baseline the BenchmarkDatabaseLookup* speedups are
+// measured from.
 func (db *Database) LookupZLinear(z timeseries.Series, qw Word, threshold float64) (Match, error) {
 	if qw.Alphabet != db.enc.AlphabetSize() || len(qw.Symbols) != db.enc.Segments() {
 		return Match{}, ErrWordMismatch
@@ -341,41 +337,18 @@ func (db *Database) LookupZLinear(z timeseries.Series, qw Word, threshold float6
 	wordWin, seriesWin := db.params()
 	best := Match{Dist: math.Inf(1), WordDist: math.Inf(1)}
 	found := false
+	var mirror timeseries.Series
 	// Entries are visited in seq order, so a strict < keeps the earliest of
 	// an exact tie — the cascade's tie break; the == arm admits a first
 	// entry at +Inf.
 	entries := db.snapshot()
 	for i := range entries {
-		e := &entries[i]
-		lb, _, err := db.enc.MinDistRotationWindow(qw, e.Word, db.n, wordWin)
+		m, err := db.linearMatch(&entries[i], z, qw, wordWin, seriesWin, &mirror)
 		if err != nil {
 			return Match{}, err
 		}
-		if lbRev, _, err := db.enc.MinDistRotationWindow(qw, e.revWord, db.n, wordWin); err != nil {
-			return Match{}, err
-		} else if lbRev < lb {
-			lb = lbRev
-		}
-		d, shift, err := timeseries.MinRotationDistWindow(z, e.Series, seriesWin)
-		if err != nil {
-			return Match{}, err
-		}
-		mirrored := false
-		if dRev, sRev, err := timeseries.MinRotationDistWindow(z, e.revSeries, seriesWin); err != nil {
-			return Match{}, err
-		} else if dRev < d {
-			d, shift, mirrored = dRev, sRev, true
-		}
-		if d < best.Dist || (!found && d == best.Dist) {
-			best = Match{
-				Label:    e.Label,
-				Word:     e.Word,
-				WordDist: lb,
-				Dist:     d,
-				Shift:    shift,
-				Mirrored: mirrored,
-			}
-			found = true
+		if m.Dist < best.Dist || (!found && m.Dist == best.Dist) {
+			best, found = m, true
 		}
 	}
 	if !found {
@@ -385,6 +358,28 @@ func (db *Database) LookupZLinear(z timeseries.Series, qw Word, threshold float6
 		return best, ErrNoMatch
 	}
 	return best, nil
+}
+
+// linearMatch evaluates one entry the way LookupZLinear does: the word
+// distance, and the exact distance of the forward candidate, then of the
+// mirror (built in *mirror), the mirror winning only if strictly closer.
+func (db *Database) linearMatch(e *Entry, z timeseries.Series, qw Word, wordWin, seriesWin int, mirror *timeseries.Series) (Match, error) {
+	wd, err := db.enc.wordDist(qw, e.Word, db.n, wordWin)
+	if err != nil {
+		return Match{}, err
+	}
+	d, shift, err := timeseries.MinRotationDistWindow(z, e.Series, seriesWin)
+	if err != nil {
+		return Match{}, err
+	}
+	*mirror = e.Series.MirrorInto(*mirror)
+	mirrored := false
+	if dRev, sRev, err := timeseries.MinRotationDistWindow(z, *mirror, seriesWin); err != nil {
+		return Match{}, err
+	} else if dRev < d {
+		d, shift, mirrored = dRev, sRev, true
+	}
+	return Match{Label: e.Label, Word: e.Word, WordDist: wd, Dist: d, Shift: shift, Mirrored: mirrored}, nil
 }
 
 // PairwiseMinDist returns a symmetric matrix of rotation-invariant MINDIST

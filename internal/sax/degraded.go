@@ -1,20 +1,21 @@
 package sax
 
-// degraded.go is the cascade's emergency exit: stage 0 alone. Under
-// overload or a read-only store the serving layer cannot afford the full
-// four-stage refinement (whose exact stage is where the time and the
-// mapped-memory traffic go), but the histogram lower bound — a linear pass
-// over precomputed per-entry symbol histograms, mapped memory for the
-// on-disk store — is cheap enough to run on the request goroutine without
-// touching the worker pool. HistNearest returns the entry whose lower bound
-// against the query is smallest: not guaranteed to be the true nearest
-// neighbour (a lower bound orders candidates, it does not rank exact
-// distances), but the same signal the full cascade uses to decide which
-// entry to refine first, and in practice the right label for queries the
-// full cascade would accept comfortably. Serving answers carry degraded:true
-// so clients know the quality contract was relaxed.
+// degraded.go is the lookup's emergency exit: stage 0, the symbol-histogram
+// scan, now used by the degraded mode alone. Under overload or a read-only
+// store the serving layer cannot afford the exact two-stage cascade (whose
+// exact stage is where the time and the mapped-memory traffic go), but the
+// histogram lower bound — a linear pass over precomputed per-entry symbol
+// histograms, mapped memory for the on-disk store — is cheap enough to run
+// on the request goroutine without touching the worker pool. HistNearest
+// returns the entry whose bound against the query is smallest: not
+// guaranteed to be the true nearest neighbour (a bound orders candidates,
+// it does not rank exact distances, and a word-level bound only covers
+// shifts that are multiples of the segment width), but in practice the
+// right label for queries the full cascade would accept comfortably.
+// Serving answers carry degraded:true so clients know the quality contract
+// was relaxed.
 
-// HistNearest runs only stage 0 of the cascade over cp: every entry's
+// HistNearest runs only stage 0 over cp: every entry's
 // histogram lower bound against qw, returning the entry with the smallest
 // bound. Histograms are rotation-invariant multisets, so distinct signs can
 // tie at the same bound (commonly 0) — and MINDIST cannot split the tie
@@ -22,10 +23,10 @@ package sax
 // the rotation+mirror-minimal symbol-index L1 distance against the query
 // (wordShapeDist) — O(segments²) integer ops per tied candidate, no series
 // access, zero only for rotation-equivalent words — then by insertion seq,
-// keeping the answer deterministic across backends. The
-// returned Match's Dist is the histogram
-// bound, NOT an exact distance: it understates the true distance, so
-// thresholding it accepts a superset of what the full cascade accepts. ok is
+// keeping the answer deterministic across backends. The returned Match's
+// Dist is the histogram bound, NOT an exact distance: it usually
+// understates the true distance, so thresholding it tends to accept more
+// than the full cascade accepts. ok is
 // false on an empty corpus or a query word that does not match the encoder's
 // geometry. A nil scratch borrows one from the internal pool; the scratch
 // must not be shared between concurrent lookups.

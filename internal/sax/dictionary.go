@@ -25,8 +25,8 @@ type Dictionary interface {
 	// query, closest first, written into dst; see Database.LookupKZWith for
 	// the full contract.
 	LookupKZWith(sc *LookupScratch, z timeseries.Series, qw Word, k int, dst []Match) ([]Match, error)
-	// NearestHist runs only stage 0 of the cascade — the degraded-mode
-	// answer; see HistNearest for what the returned Match's Dist means.
+	// NearestHist runs only stage 0, the histogram scan — the
+	// degraded-mode answer; see HistNearest for what the returned Match's Dist means.
 	NearestHist(sc *LookupScratch, qw Word) (Match, bool)
 }
 

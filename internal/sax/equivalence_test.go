@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"hdc/internal/timeseries"
@@ -13,7 +12,7 @@ import (
 
 // equivalence_test.go property-tests the indexed cascade against the
 // retained linear-scan reference: over randomized dictionaries and rotated/
-// mirrored/noisy queries, LookupZWith must return byte-identical Match
+// mirrored/noisy queries, LookupZWith must return bit-identical Match
 // results to LookupZLinear — same label, same word, same word distance, same
 // exact distance bits, same shift, same mirror flag.
 
@@ -122,7 +121,6 @@ func TestLookupKMatchesBruteForce(t *testing.T) {
 	const n = 128
 	db := buildRandomDB(t, rng, 40, 11, n)
 	sc := NewLookupScratch()
-	wordWin, seriesWin := db.params()
 
 	for trial := 0; trial < 15; trial++ {
 		q := randSmoothSeries(rng, n)
@@ -132,43 +130,10 @@ func TestLookupKMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Brute force: evaluate every entry exactly the way the kernels do.
-		type ranked struct {
-			m   Match
-			seq uint64
+		all, err := LinearLookupKZ(db, z, qw, len(db.snapshot()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var all []ranked
-		for _, e := range db.snapshot() {
-			lb, _, err := db.enc.MinDistRotationWindow(qw, e.Word, n, wordWin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lbRev, _, err := db.enc.MinDistRotationWindow(qw, e.revWord, n, wordWin); err != nil {
-				t.Fatal(err)
-			} else if lbRev < lb {
-				lb = lbRev
-			}
-			d, shift, err := timeseries.MinRotationDistWindow(z, e.Series, seriesWin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirrored := false
-			if dRev, sRev, err := timeseries.MinRotationDistWindow(z, e.revSeries, seriesWin); err != nil {
-				t.Fatal(err)
-			} else if dRev < d {
-				d, shift, mirrored = dRev, sRev, true
-			}
-			all = append(all, ranked{
-				m:   Match{Label: e.Label, Word: e.Word, WordDist: lb, Dist: d, Shift: shift, Mirrored: mirrored},
-				seq: e.seq,
-			})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].m.Dist != all[j].m.Dist {
-				return all[i].m.Dist < all[j].m.Dist
-			}
-			return all[i].seq < all[j].seq
-		})
 
 		for _, k := range []int{1, 2, 5, 40, 60} {
 			got, err := db.LookupKZWith(sc, z, qw, k, nil)
@@ -183,8 +148,8 @@ func TestLookupKMatchesBruteForce(t *testing.T) {
 				t.Fatalf("k=%d: got %d matches, want %d", k, len(got), wantLen)
 			}
 			for i := range got {
-				if got[i] != all[i].m {
-					t.Fatalf("k=%d rank %d:\n got  %+v\n want %+v", k, i, got[i], all[i].m)
+				if got[i] != all[i] {
+					t.Fatalf("k=%d rank %d:\n got  %+v\n want %+v", k, i, got[i], all[i])
 				}
 			}
 		}

@@ -2,13 +2,15 @@ package sax
 
 import "math"
 
-// histogram.go implements the stage-0 prefilter of the database's lookup
-// cascade: a rotation- and mirror-invariant lower bound on MINDIST computed
-// from symbol histograms alone.
+// histogram.go implements stage 0, the degraded mode's prefilter (see
+// degraded.go): a rotation- and mirror-invariant lower bound on MINDIST at
+// segment-aligned rotations, computed from symbol histograms alone. It does
+// not bound the exact distance at shifts that are not multiples of the
+// segment width, so the exact cascade does not use it.
 //
 // The key observation: a word's symbol histogram (how many 'a's, 'b's, …)
 // is invariant under circular rotation and under reversal, so one O(alphabet)
-// comparison covers every alignment the later stages would search. Any
+// comparison covers every word alignment. Any
 // rotation (mirrored or not) aligns the query's symbols with the entry's
 // symbols one-to-one — a bijection between the two multisets. The cheapest
 // possible bijection therefore lower-bounds the aligned cell-distance sum of
@@ -102,7 +104,7 @@ func (e *Encoder) histLowerBound(qh, eh []uint16, n int) float64 {
 }
 
 // HistLowerBoundRaw is the stage-0 bound for pre-extracted histograms — the
-// cascade hot path used by Corpus implementations whose histograms are
+// degraded-mode scan used by Corpus implementations whose histograms are
 // precomputed (the database's per-entry cache, the on-disk store's mapped
 // prune index). No validation is performed: both histograms must be
 // alphabet-length and sum to the encoder's segment count.
@@ -117,7 +119,7 @@ func HistogramOf(w Word) []uint16 { return histOf(w) }
 
 // HistLowerBound is the exported form of the stage-0 bound for two words
 // (diagnostics and tests); the database keeps per-entry histograms so its
-// cascade never re-derives them.
+// degraded-mode scan never re-derives them.
 func (e *Encoder) HistLowerBound(w, v Word, n int) (float64, error) {
 	if w.Alphabet != e.alphabet || v.Alphabet != e.alphabet ||
 		len(w.Symbols) != e.segments || len(v.Symbols) != e.segments {

@@ -65,8 +65,8 @@ func TestHistLowerBoundProperty(t *testing.T) {
 
 // TestHistLowerBoundInvariance: rotations and mirrors of the same word carry
 // the same histogram, so the bound is identical for every alignment of the
-// same entry — the invariance the cascade relies on to reuse one bound for
-// both the forward and the cached mirror candidate.
+// same entry — the invariance the degraded scan relies on to reuse one
+// bound for both the forward and the mirror candidate.
 func TestHistLowerBoundInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	enc, err := NewEncoder(16, 6)

@@ -7,70 +7,58 @@ import (
 )
 
 // lookup.go binds in-memory entry slices — the Database's, and the on-disk
-// store's unsealed tail — to the four-stage pruning cascade of cascade.go:
+// store's unsealed tail — to the two-stage cascade of cascade.go:
 //
-//	stage 0 — symbol-histogram lower bound (rotation/mirror invariant,
-//	          O(alphabet) per entry, see histogram.go), computed for every
-//	          entry of a point-in-time snapshot of the entry slice;
-//	stage 1 — rotation-windowed MINDIST over the word and its cached mirror,
-//	          early-abandoned against the best exact distance so far;
-//	stage 2 — spectral lower bound: four low-frequency |DFT| magnitudes,
+//	stage 1 — spectral lower bound: four low-frequency |DFT| magnitudes,
 //	          rotation and mirror invariant, so by Parseval below every
-//	          alignment (timeseries.Aligner.BoundExceeds, O(n) per entry);
-//	          it prunes only when stage 3 provably could not improve the
-//	          result;
-//	stage 3 — exact rotation/mirror alignment at series level, likewise
+//	          alignment of both orientations at every shift
+//	          (timeseries.Aligner.LowerBound). Each entry's magnitudes and
+//	          squared norm are computed once, when it is stored, so the
+//	          per-lookup cost is O(1) per entry;
+//	stage 2 — exact rotation/mirror alignment at series level,
 //	          cutoff-threaded: an FFT cross-correlation of both orientations
 //	          picks the candidate shifts and the direct sum confirms them
-//	          (timeseries.Aligner.Align, bit-identical to the direct scan).
+//	          (timeseries.Aligner.AlignMirror, bit-identical to the direct
+//	          scan).
 //
-// Candidates flow through a single best-first refinement queue (the optimal
-// multi-step filter-and-refine pattern): a binary min-heap ordered by
-// (current lower bound, insertion seq). Popping a stage-0 candidate refines
-// its histogram bound to the rotation-windowed MINDIST bound and re-pushes
-// it; popping a refined candidate runs the spectral bound and, unless that
-// prunes it, the exact alignment. Exact evaluations therefore happen in
-// true MINDIST order — the cutoff tightens as early as possible — and the
-// moment the queue's minimum bound exceeds the current k-th best exact
-// distance the remainder is rejected wholesale.
-// All working storage lives in a LookupScratch, so the steady state
-// allocates nothing. The refinement loop itself lives in CascadeLookupKZ,
-// shared with the segmented on-disk store (internal/sax/store).
+// Candidates flow through one best-first queue: a binary min-heap ordered
+// by (squared spectral bound, insertion seq). Each popped candidate is
+// either proven unable to beat the current k-th best exact distance by its
+// bound or aligned exactly, so exact evaluations happen in bound order and
+// the cutoff tightens early; once the queue's minimum bound clears the
+// cutoff even under the largest candidate's tolerance, the remainder is
+// rejected wholesale. The MINDIST word distance is computed for the
+// returned matches only. All working storage lives in a LookupScratch, so
+// the steady state allocates nothing.
 
-// LookupStats counts what each cascade stage did during the last lookup
-// made with a scratch (diagnostics for tuning and the E18/E22 experiments).
+// LookupStats counts what the cascade did during the last lookup made with
+// a scratch (diagnostics for tuning and the E18/E22 experiments). Every
+// entry is counted once: Entries == SpecPruned + ExactEvals.
 type LookupStats struct {
-	Entries    int // entries scanned in stage 0
-	HistPruned int // rejected wholesale by the histogram bound
-	WordPruned int // rejected by the rotation-windowed MINDIST bound
+	Entries    int // entries scanned
 	SpecPruned int // rejected by the spectral (|DFT|) bound
 	ExactEvals int // entries that reached the exact alignment stage
 }
 
 // LookupScratch holds the reusable per-caller state of the lookup cascade:
-// the query histogram, the candidate heap, the top-k working set, the
-// corpus view buffers and the prepared aligner. Hold one per worker
-// goroutine (it must not be shared between concurrent lookups) and pass it
-// to LookupZWith/LookupKZWith; after the first few calls the cascade
-// reaches a zero-allocation steady state.
+// the candidate heap, the top-k working set, the prepared aligner and the
+// degraded mode's query histogram. Hold one per worker goroutine (it must
+// not be shared between concurrent lookups) and pass it to
+// LookupZWith/LookupKZWith; after the first few calls the cascade reaches a
+// zero-allocation steady state.
 type LookupScratch struct {
 	qHist    []uint16
 	cands    []cand
+	maxEE    float64 // largest squared entry norm among cands
 	matchSeq []uint64
 	one      []Match // backing store for LookupZWith's single result
 
-	// snap is the Database entry-slice snapshot taken during stage 0, so
+	// snap is the Database entry-slice snapshot taken by the scan, so
 	// candidate references stay resolvable lock-free for the rest of the
 	// lookup (the backing array is append-only immutable).
 	snap []Entry
 
-	// viewW/viewS are the mirror buffers handed out by ViewScratch for
-	// corpora that materialise mirror candidates on demand (the on-disk
-	// store); the in-memory database caches its mirrors per entry instead.
-	viewW []byte
-	viewS timeseries.Series
-
-	// align is the query prepared for stages 2 and 3: its spectrum, norms
+	// align is the query prepared for both stages: its spectrum, norms
 	// and DFT magnitudes, computed once per lookup.
 	align timeseries.Aligner
 
@@ -90,42 +78,53 @@ var lookupScratchPool = sync.Pool{
 	New: func() any { return NewLookupScratch() },
 }
 
-// ScanEntries runs stage 0 of the cascade over an in-memory entry slice
-// for a corpus of series length n: entry i is recorded as candidate
-// reference i with its insertion seq. Corpus implementations holding Entry
-// values call it from ScanHist and resolve the references with Entry.View.
-func ScanEntries(sc *LookupScratch, enc *Encoder, n int, qh []uint16, entries []Entry) {
+// ScanEntrySpectra records every entry of an in-memory slice as a cascade
+// candidate: entry i as reference i, with its insertion seq and the
+// Spectrum computed when it was built. Corpus implementations holding Entry
+// values call it from ScanSpectra and resolve the references with
+// Entry.View.
+func ScanEntrySpectra(sc *LookupScratch, entries []Entry) {
+	for i := range entries {
+		e := &entries[i]
+		sc.AppendSpectral(uint64(i), e.seq, e.spec)
+	}
+}
+
+// ScanEntryHists is ScanEntrySpectra for the degraded-mode scan: each
+// entry's histogram lower bound against qh, for a corpus of series length
+// n.
+func ScanEntryHists(sc *LookupScratch, enc *Encoder, n int, qh []uint16, entries []Entry) {
 	for i := range entries {
 		e := &entries[i]
 		sc.AppendCandidate(uint64(i), e.seq, enc.histLowerBound(qh, e.hist, n))
 	}
 }
 
-// View returns the cascade's read model of the entry, with its precomputed
-// mirror candidates.
+// View returns the cascade's read model of the entry.
 func (e *Entry) View() EntryView {
-	return EntryView{
-		Label:     e.Label,
-		Word:      e.Word,
-		RevWord:   e.revWord,
-		Series:    e.Series,
-		RevSeries: e.revSeries,
-	}
+	return EntryView{Label: e.Label, Word: e.Word, Series: e.Series}
 }
 
 // dbCorpus adapts the Database to the cascade's Corpus interface. The value
 // lives inside the Database so the interface conversion never allocates.
 type dbCorpus struct{ db *Database }
 
-// ScanHist implements Corpus: the stage-0 histogram pass over a snapshot of
-// the entry slice, taken under one read lock and then scanned lock-free.
+// ScanSpectra implements Corpus over a snapshot of the entry slice, taken
+// under one read lock and then scanned lock-free.
+func (c *dbCorpus) ScanSpectra(sc *LookupScratch) {
+	sc.snap = c.db.snapshot()
+	ScanEntrySpectra(sc, sc.snap)
+}
+
+// ScanHist implements Corpus: the degraded-mode histogram pass over a
+// snapshot of the entry slice.
 func (c *dbCorpus) ScanHist(sc *LookupScratch, qh []uint16) {
 	sc.snap = c.db.snapshot()
-	ScanEntries(sc, c.db.enc, c.db.n, qh, sc.snap)
+	ScanEntryHists(sc, c.db.enc, c.db.n, qh, sc.snap)
 }
 
 // View implements Corpus by resolving the reference — an index — against
-// the snapshot taken in ScanHist.
+// the snapshot taken by the scan.
 func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
 	return sc.snap[ref].View()
 }
@@ -142,8 +141,8 @@ func (db *Database) LookupKZWith(sc *LookupScratch, z timeseries.Series, qw Word
 	return CascadeLookupKZ(sc, &db.corpus, db.enc, db.n, wordWin, seriesWin, z, qw, k, dst)
 }
 
-// NearestHist runs only stage 0 over the database — the degraded-mode
-// answer; see HistNearest for the contract (Dist is a lower bound, not an
+// NearestHist runs only the histogram scan over the database — the
+// degraded-mode answer; see HistNearest for the contract (Dist is a lower bound, not an
 // exact distance).
 func (db *Database) NearestHist(sc *LookupScratch, qw Word) (Match, bool) {
 	return HistNearest(sc, &db.corpus, db.enc, qw)

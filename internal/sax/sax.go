@@ -253,19 +253,15 @@ func (e *Encoder) MinDistRotation(w, v Word, n int) (best float64, shift int, er
 // to ±maxShift word positions (maxShift < 0 searches all rotations). The
 // rotations are evaluated by index offset, so the search allocates nothing.
 func (e *Encoder) MinDistRotationWindow(w, v Word, n, maxShift int) (best float64, shift int, err error) {
-	return e.MinDistRotationWindowCutoff(w, v, n, maxShift, math.Inf(1))
+	return e.minDistRotation(w, v, false, n, maxShift)
 }
 
-// MinDistRotationWindowCutoff is MinDistRotationWindow with a best-so-far
-// cutoff threaded into the rotation loop: each rotation's running cell sum is
-// abandoned once it can no longer land below min(local best, cutoff). The
-// database cascade passes its current global best so pruning MINDIST costs
-// only a few cell additions on hopeless entries.
-//
-// When no rotation beats the cutoff the returned distance is not meaningful
-// (it may be +Inf); callers must treat any result ≥ cutoff as "no
-// improvement". A cutoff of +Inf recovers MinDistRotationWindow exactly.
-func (e *Encoder) MinDistRotationWindowCutoff(w, v Word, n, maxShift int, cutoff float64) (best float64, shift int, err error) {
+// minDistRotation is MinDistRotationWindow against v, or with mirror set
+// against v's mirror word (v.Reverse().Rotate(-1): symbol j is v[−j mod m]),
+// read through the index map instead of built. Each rotation's running cell
+// sum is abandoned once it exceeds the best so far, which it then cannot
+// beat.
+func (e *Encoder) minDistRotation(w, v Word, mirror bool, n, maxShift int) (best float64, shift int, err error) {
 	m := len(v.Symbols)
 	if m == 0 {
 		return 0, 0, ErrEmptyWord
@@ -283,11 +279,6 @@ func (e *Encoder) MinDistRotationWindowCutoff(w, v Word, n, maxShift int, cutoff
 	}
 	scale := math.Sqrt(float64(nn) / float64(e.segments))
 	bestSS := math.Inf(1)
-	cutSS := math.Inf(1)
-	if !math.IsInf(cutoff, 1) {
-		c := cutoff / scale
-		cutSS = c * c
-	}
 	for k := 0; k <= maxShift; k++ {
 		for s := 0; s < 2; s++ {
 			kk := k
@@ -297,10 +288,6 @@ func (e *Encoder) MinDistRotationWindowCutoff(w, v Word, n, maxShift int, cutoff
 				}
 				kk = m - k
 			}
-			lim := bestSS
-			if cutSS < lim {
-				lim = cutSS
-			}
 			var ss float64
 			abandoned := false
 			for i := 0; i < m; i++ {
@@ -308,9 +295,12 @@ func (e *Encoder) MinDistRotationWindowCutoff(w, v Word, n, maxShift int, cutoff
 				if j >= m {
 					j -= m
 				}
+				if mirror && j != 0 {
+					j = m - j
+				}
 				d := e.cells[w.Symbols[i]-'a'][v.Symbols[j]-'a']
 				ss += d * d
-				if ss > lim { // early abandon against local best and cutoff
+				if ss > bestSS { // early abandon against the local best
 					abandoned = true
 					break
 				}
@@ -322,6 +312,23 @@ func (e *Encoder) MinDistRotationWindowCutoff(w, v Word, n, maxShift int, cutoff
 		}
 	}
 	return scale * math.Sqrt(bestSS), shift, nil
+}
+
+// wordDist is the word distance a Match reports: the rotation-windowed
+// MINDIST of v or of its mirror word against w, whichever is smaller.
+func (e *Encoder) wordDist(w, v Word, n, maxShift int) (float64, error) {
+	d, _, err := e.minDistRotation(w, v, false, n, maxShift)
+	if err != nil {
+		return 0, err
+	}
+	dRev, _, err := e.minDistRotation(w, v, true, n, maxShift)
+	if err != nil {
+		return 0, err
+	}
+	if dRev < d {
+		d = dRev
+	}
+	return d, nil
 }
 
 // MinDistRotationMirror extends MinDistRotation with the mirrored candidate.
@@ -337,7 +344,7 @@ func (e *Encoder) MinDistRotationMirrorWindow(w, v Word, n, maxShift int) (best 
 	if err != nil {
 		return 0, 0, false, err
 	}
-	d2, s2, err := e.MinDistRotationWindow(w, v.Reverse().Rotate(-1), n, maxShift)
+	d2, s2, err := e.minDistRotation(w, v, true, n, maxShift)
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -69,7 +69,8 @@ func TestMain(m *testing.M) {
 }
 
 // benchmarkStoreLookup times the mapped cascade (steady state must report
-// 0 allocs/op: stage 0 runs over the mmap prune index, views reuse scratch).
+// 0 allocs/op: spectra are derived once per segment, views borrow the
+// mapping).
 func benchmarkStoreLookup(b *testing.B, entries int) {
 	st, err := Open(benchStoreDir(b, entries), Options{})
 	if err != nil {

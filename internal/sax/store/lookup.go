@@ -7,16 +7,18 @@ import (
 )
 
 // lookup.go adapts the store to the cascade kernel (sax.CascadeLookupKZ):
-// the same four-stage refinement that serves the in-memory Database runs
-// here over mapped segment memory plus the in-memory tail, producing
-// byte-identical results for the same insertion sequence.
+// the same two-stage cascade that serves the in-memory Database runs here
+// over mapped segment memory plus the in-memory tail, producing
+// bit-identical results for the same insertion sequence.
 //
-// Stage 0 iterates each segment's histogram block — the prune index
-// precomputed at build time — directly in the mapping: no per-entry decode,
-// no allocation. Entry references pack (segment, index) into the kernel's
-// opaque 64-bit ref; the segment set and tail are snapshotted per lookup, so
-// a concurrent compaction can retire segments without ever invalidating a
-// lookup in flight.
+// The spectral stage reads each sealed segment's per-entry spectra, derived
+// from the mapped series block on the segment's first lookup and then kept
+// for its lifetime (segment.spectra); the segment file format does not
+// carry them, so opening stays O(validation). Entry views are zero-copy:
+// the label, word and series all point into the mapping. Entry references
+// pack (segment, index) into the kernel's opaque 64-bit ref; the segment
+// set and tail are snapshotted per lookup, so a concurrent compaction can
+// retire segments without ever invalidating a lookup in flight.
 
 // refSegShift packs the segment ordinal into the high bits of a candidate
 // reference. Ordinal 0 is the in-memory tail; sealed segment i is i+1.
@@ -31,8 +33,20 @@ type lookupView struct {
 	tail []sax.Entry
 }
 
-// ScanHist implements sax.Corpus: the stage-0 histogram pass over every
-// sealed segment's mapped prune index, then the tail.
+// ScanSpectra implements sax.Corpus: every sealed segment's spectra, then
+// the tail's.
+func (lv *lookupView) ScanSpectra(sc *sax.LookupScratch) {
+	for si, sg := range lv.segs {
+		ref := uint64(si+1) << refSegShift
+		for i, es := range sg.spectra(&lv.s.spec) {
+			sc.AppendSpectral(ref|uint64(i), sg.baseSeq+uint64(i), es)
+		}
+	}
+	sax.ScanEntrySpectra(sc, lv.tail)
+}
+
+// ScanHist implements sax.Corpus: the degraded-mode histogram pass over
+// every sealed segment's mapped prune index, then the tail.
 func (lv *lookupView) ScanHist(sc *sax.LookupScratch, qh []uint16) {
 	enc, n, al := lv.s.enc, lv.s.p.seriesLen, lv.s.p.alphabet
 	for si, sg := range lv.segs {
@@ -44,41 +58,22 @@ func (lv *lookupView) ScanHist(sc *sax.LookupScratch, qh []uint16) {
 			sc.AppendCandidate(ref|uint64(i), base+uint64(i), lb)
 		}
 	}
-	sax.ScanEntries(sc, enc, n, qh, lv.tail)
+	sax.ScanEntryHists(sc, enc, n, qh, lv.tail)
 }
 
-// View implements sax.Corpus. Tail entries carry their precomputed mirrors;
-// sealed entries serve word and series as zero-copy views into the mapping
-// and materialise the mirror candidates into the scratch's view buffers
-// (valid until the next View call, which is the kernel's contract).
-func (lv *lookupView) View(sc *sax.LookupScratch, ref uint64) sax.EntryView {
+// View implements sax.Corpus. Tail entries are heap values; sealed entries
+// are views into the mapping, valid until the store is closed.
+func (lv *lookupView) View(_ *sax.LookupScratch, ref uint64) sax.EntryView {
 	idx := int(ref & (1<<refSegShift - 1))
 	si := int(ref >> refSegShift)
 	if si == 0 {
 		return lv.tail[idx].View()
 	}
 	sg := lv.segs[si-1]
-	word := sg.word(idx)
-	series := sg.seriesAt(idx)
-	nb, nf := len(word), len(series)
-	revW, revS := sc.ViewScratch(nb, nf)
-	// Mirror transform (reverse, then rotate by one so a pure reflection
-	// sits at shift 0): dst[0] = src[0], dst[j] = src[n-j].
-	revW[0] = word[0]
-	revS[0] = series[0]
-	for j := 1; j < nb; j++ {
-		revW[j] = word[nb-j]
-	}
-	for j := 1; j < nf; j++ {
-		revS[j] = series[nf-j]
-	}
-	al := lv.s.p.alphabet
 	return sax.EntryView{
-		Label:     sg.label(idx),
-		Word:      sax.Word{Symbols: word, Alphabet: al},
-		RevWord:   sax.Word{Symbols: viewString(revW), Alphabet: al},
-		Series:    series,
-		RevSeries: revS,
+		Label:  sg.label(idx),
+		Word:   sax.Word{Symbols: sg.word(idx), Alphabet: lv.s.p.alphabet},
+		Series: sg.seriesAt(idx),
 	}
 }
 
@@ -92,8 +87,8 @@ func (lv *lookupView) View(sc *sax.LookupScratch, ref uint64) sax.EntryView {
 // memory: they stay valid until the store is closed.
 func (s *Store) LookupKZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.Word, k int, dst []sax.Match) ([]sax.Match, error) {
 	// The "store stall" site: a delay policy here models a slow disk/page
-	// fault under the full cascade; the degraded stage-0 path does not pass
-	// through it.
+	// fault under the full cascade; the degraded histogram path does not
+	// pass through it.
 	if err := failpoint.Inject(failpoint.StoreLookup); err != nil {
 		return dst[:0], err
 	}
@@ -110,11 +105,12 @@ func (s *Store) LookupKZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.
 	return dst, err
 }
 
-// NearestHist runs only stage 0 over the store's mapped prune index plus
-// the in-memory tail — the degraded-mode answer; see sax.HistNearest for
-// the contract (Dist is a lower bound, not an exact distance). It does not
-// pass through the store/lookup failpoint: the degraded path exists to keep
-// answering while the full lookup path is stalled.
+// NearestHist runs only the histogram scan over the store's mapped prune
+// index plus the in-memory tail — the degraded-mode answer; see
+// sax.HistNearest for the contract (Dist is a lower bound, not an exact
+// distance). It does not pass through the store/lookup failpoint: the
+// degraded path exists to keep answering while the full lookup path is
+// stalled.
 func (s *Store) NearestHist(sc *sax.LookupScratch, qw sax.Word) (sax.Match, bool) {
 	lv := s.viewPool.Get().(*lookupView)
 	lv.s = s

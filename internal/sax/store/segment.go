@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"hdc/internal/failpoint"
 	"hdc/internal/timeseries"
@@ -20,9 +21,9 @@ import (
 //
 //	offset 0    header (128 bytes, little-endian, CRC-protected)
 //	offLabelIdx count × u32          per-entry index into the label table
-//	offHist     count × alphabet × u16   symbol histograms — the stage-0
-//	            prune index, precomputed at build time so the histogram
-//	            lower bound runs straight over mapped memory
+//	offHist     count × alphabet × u16   symbol histograms — the degraded
+//	            mode's prune index, precomputed at build time so the
+//	            histogram lower bound runs straight over mapped memory
 //	offWords    count × wordLen bytes    SAX words, fixed width
 //	offLabels   label table: u32 n, then n × (u32 len ‖ bytes), deduplicated
 //	(pad to 8)
@@ -82,6 +83,11 @@ type segment struct {
 	words    []byte    // view: count × wordLen
 	hist     []uint16  // view: count × alphabet
 	series   []float64 // view: count × seriesLen
+
+	// spec holds each entry's Spectrum, derived from the series block on
+	// the first lookup (specOnce), not stored in the file.
+	specOnce sync.Once
+	spec     []timeseries.Spectrum
 }
 
 // segmentSource yields entries for segment building: a count and per-entry
@@ -264,7 +270,8 @@ func (sg *segment) word(i int) string {
 	return viewString(sg.words[i*wl : (i+1)*wl])
 }
 
-// histAt returns entry i's symbol histogram view (the stage-0 prune index).
+// histAt returns entry i's symbol histogram view (the degraded mode's prune
+// index).
 func (sg *segment) histAt(i int) []uint16 {
 	al := sg.p.alphabet
 	return sg.hist[i*al : (i+1)*al]
@@ -274,6 +281,18 @@ func (sg *segment) histAt(i int) []uint16 {
 func (sg *segment) seriesAt(i int) timeseries.Series {
 	sl := sg.p.seriesLen
 	return timeseries.Series(sg.series[i*sl : (i+1)*sl])
+}
+
+// spectra returns every entry's Spectrum, computed with tab (a table of the
+// segment's series length) on the first call and shared by every later one.
+func (sg *segment) spectra(tab *timeseries.SpecTable) []timeseries.Spectrum {
+	sg.specOnce.Do(func() {
+		sg.spec = make([]timeseries.Spectrum, sg.count)
+		for i := range sg.spec {
+			sg.spec[i] = tab.Of(sg.seriesAt(i))
+		}
+	})
+	return sg.spec
 }
 
 // close unmaps the segment.

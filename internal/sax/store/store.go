@@ -9,20 +9,22 @@
 //
 //   - sealed segments (seg-NNNNNN.seg): immutable, mmap-able columnar files
 //     carrying the label table, SAX words, z-normalised series and a
-//     precomputed per-entry symbol-histogram block, so stage 0 of the lookup
-//     cascade (the histogram lower bound) runs directly over mapped memory
-//     with zero per-lookup allocation;
+//     precomputed per-entry symbol-histogram block, so the degraded mode's
+//     histogram lower bound runs directly over mapped memory with zero
+//     per-lookup allocation;
 //   - a write-ahead log (wal.log): length-prefixed, checksummed Add records;
 //     recovery truncates a torn tail and replays the rest into the in-memory
 //     tail;
 //   - a manifest (MANIFEST.json): the commit point naming the live segments;
 //     swapped atomically (tmp + fsync + rename) by compaction.
 //
-// Lookups run the same four-stage cascade as the in-memory Database —
+// Lookups run the same two-stage cascade as the in-memory Database —
 // sax.CascadeLookupKZ over sealed segments plus the in-memory tail — and
-// return byte-identical results for the same insertion sequence. Compaction
-// folds the tail into a new sealed segment in the background; readers are
-// never blocked and retired mappings stay valid until Close.
+// return bit-identical results for the same insertion sequence. The
+// cascade's per-entry spectra are derived from a segment's mapped series on
+// its first lookup, not stored in the file. Compaction folds the tail into
+// a new sealed segment in the background; readers are never blocked and
+// retired mappings stay valid until Close.
 //
 // The binary format is little-endian and served zero-copy via unsafe views,
 // so store directories are portable across the little-endian hosts this
@@ -82,6 +84,7 @@ type Store struct {
 	enc  *sax.Encoder
 	p    segParams
 	opts Options
+	spec timeseries.SpecTable // computes entry spectra for the tail and segments
 
 	// mu guards the mutable view of the store. Lookups take a snapshot of
 	// segs/tail under RLock and then read lock-free: both are effectively
@@ -167,6 +170,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		enc:       enc,
 		p:         p,
 		opts:      opts,
+		spec:      timeseries.NewSpecTable(p.seriesLen),
 		nextSeq:   mf.NextSeq,
 		shiftFrac: mf.ShiftFrac,
 		mf:        *mf,
@@ -205,7 +209,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("%w: log record sequence %d breaks the run at %d",
 				ErrCorruptWAL, r.seq, mf.NextSeq+uint64(i))
 		}
-		s.tail = append(s.tail, sax.NewEntry(r.seq, r.label, sax.Word{Symbols: r.word, Alphabet: p.alphabet}, r.series))
+		s.tail = append(s.tail, sax.NewEntry(&s.spec, r.seq, r.label, sax.Word{Symbols: r.word, Alphabet: p.alphabet}, r.series))
 		s.nextSeq = r.seq + 1
 	}
 	w, err := openWAL(dir, opts.SyncWrites)
@@ -316,7 +320,7 @@ func (s *Store) Add(label string, series timeseries.Series) error {
 		return fmt.Errorf("store: log append: %w", err)
 	}
 	s.nextSeq = seq + 1
-	s.tail = append(s.tail, sax.NewEntry(seq, label, w, z))
+	s.tail = append(s.tail, sax.NewEntry(&s.spec, seq, label, w, z))
 	tailLen := len(s.tail)
 	s.mu.Unlock()
 

@@ -262,3 +262,39 @@ func TestGraphIndexAndStatsz(t *testing.T) {
 		t.Fatalf("frame pool unbalanced after graph batch: %d gets, %d puts", gets, puts)
 	}
 }
+
+// TestGraphBodyTrailingBytes pins the value endpoints' trailing-bytes
+// contract: anything but whitespace after the request's JSON value — a
+// second value or garbage — answers 400, on canonical bodies and on bodies
+// only encoding/json decodes alike, while a whitespace tail is accepted.
+func TestGraphBodyTrailingBytes(t *testing.T) {
+	_, _, hs := testService(t, server.Options{}, pipeline.Config{Workers: 2})
+	bodies := map[string][]string{
+		"ledring": {`{"rings":[{"frames":[[0,1,2,3]]}]}`, `{"RINGS":[{"frames":[[0,1,2,3]]}]}`},
+		"imu":     {`{"windows":[[{"t_s":0,"accel":[0,0,9.81]},{"t_s":0.1,"accel":[0,0,9.81]}]]}`, `{"windows":[[{"T_S":0,"accel":[0,0,9.81]}]]}`},
+		"flight":  {`{"trajectories":[[{"t_s":0,"pos":[1,2,3]}]]}`, `{"trajectories":[[{"t_s":0,"POS":[1,2,3]}]]}`},
+	}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/v1/graph/"+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for path, bs := range bodies {
+		for _, b := range bs {
+			for _, tail := range []string{"", " \n\t\r "} {
+				if code := post(path, b+tail); code != http.StatusOK {
+					t.Errorf("%s %q: %d, want 200", path, b+tail, code)
+				}
+			}
+			for _, tail := range []string{" trailing garbage", b, "{}", "x", "\x00", " ]"} {
+				if code := post(path, b+tail); code != http.StatusBadRequest {
+					t.Errorf("%s %q: %d, want 400", path, b+tail, code)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -19,8 +20,10 @@ import (
 // whitespace after the value. It declines everything else — null, unknown,
 // repeated or case-folded keys, out-of-range numbers, short or long
 // vectors, trailing bytes — and hands the body to encoding/json, so every
-// accept, reject and error string is encoding/json's. FuzzGraphDecode
-// holds the two paths to that.
+// accept, reject and error string is encoding/json's: a json.Decoder's for
+// the value, and json.Unmarshal's ("invalid character 'x' after top-level
+// value") for anything but whitespace after it. FuzzGraphDecode holds the
+// two paths to that.
 
 // maxPooledBytes caps what a pooled decode state keeps between requests:
 // a state grown past it by one large body is left to the collector.
@@ -49,11 +52,12 @@ type wireScanner struct {
 
 // decodeGraphBody reads one request body of at most maxBytes and decodes
 // it: with scan when the body has the canonical shape, and otherwise with
-// a json.Decoder (unknown fields disallowed) over the same bytes. When the
-// read stopped early — the body passed maxBytes, or the transport failed —
-// the decoder reads the bytes already read and then the body reader, which
-// repeats the read's error, so such a body answers exactly as it would
-// decoding the body directly.
+// a json.Decoder (unknown fields disallowed) over the same bytes, after
+// whose value only whitespace may follow. When the read stopped early — the
+// body passed maxBytes, or the transport failed — the decoder reads the
+// bytes already read and then the body reader, which repeats the read's
+// error, so such a body answers exactly as it would decoding the body
+// directly.
 func decodeGraphBody[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, scan func(*wireScanner) (T, bool)) (T, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	s := wirePool.Get().(*wireScanner)
@@ -73,8 +77,45 @@ func decodeGraphBody[T any](w http.ResponseWriter, r *http.Request, maxBytes int
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	var v T
-	err = dec.Decode(&v)
-	return v, err
+	if err := dec.Decode(&v); err != nil {
+		return v, err
+	}
+	return v, onlySpaceLeft(io.MultiReader(dec.Buffered(), src))
+}
+
+// onlySpaceLeft reads r to its end and rejects the first byte that is not
+// JSON whitespace, with the error json.Unmarshal gives it; a read error
+// before such a byte is returned as is.
+func onlySpaceLeft(r io.Reader) error {
+	var buf [512]byte
+	for {
+		n, err := r.Read(buf[:])
+		for _, c := range buf[:n] {
+			switch c {
+			case ' ', '\t', '\r', '\n':
+			default:
+				return errors.New("invalid character " + quoteChar(c) + " after top-level value")
+			}
+		}
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// quoteChar formats c the way encoding/json's syntax errors do.
+func quoteChar(c byte) string {
+	switch c {
+	case '\'':
+		return `'\''`
+	case '"':
+		return `'"'`
+	}
+	q := strconv.Quote(string(c))
+	return "'" + q[1:len(q)-1] + "'"
 }
 
 // release returns s to wirePool unless it holds more than maxPooledBytes.

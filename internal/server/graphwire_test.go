@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -19,9 +20,10 @@ import (
 )
 
 // graphwire_test.go holds the graph-body decoder to encoding/json: for any
-// body and body limit, decodeGraphBody and a plain json.Decoder with
-// unknown fields disallowed must agree on accept or reject, on the error
-// string, and on every decoded value bit for bit.
+// body and body limit, decodeGraphBody and a json.Decoder with unknown
+// fields disallowed, followed by a check that only whitespace remains
+// (json.Unmarshal's error when not), must agree on accept or reject, on the
+// error string, and on every decoded value bit for bit.
 
 // graphSchema is one value endpoint's request schema under test.
 type graphSchema struct {
@@ -164,6 +166,20 @@ func checker[T any](scan func(*wireScanner) (T, bool)) func(*testing.T, []byte, 
 		dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), limit))
 		dec.DisallowUnknownFields()
 		wantErr := dec.Decode(&want)
+		if wantErr == nil {
+			// Only whitespace may follow the value. Anything else is
+			// rejected with json.Unmarshal's error for the body; a read
+			// error met first is returned as is.
+			var se *json.SyntaxError
+			if _, err := dec.Token(); err == nil || errors.As(err, &se) {
+				wantErr = json.Unmarshal(body, new(json.RawMessage))
+				if wantErr == nil {
+					t.Fatalf("body %q: json.Unmarshal accepts what follows the value", body)
+				}
+			} else if !errors.Is(err, io.EOF) {
+				wantErr = err
+			}
+		}
 
 		switch {
 		case (gotErr == nil) != (wantErr == nil):

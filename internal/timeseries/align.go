@@ -53,12 +53,46 @@ type Aligner struct {
 	plan fftPlan
 	buf  []complex128 // per-candidate transform
 	est  []float64    // per-shift distance estimates, one orientation
+	mir  Series       // AlignMirror's mirror candidate
 
+	spec SpecTable
+	qmag [specTerms]float64
+}
+
+// Spectrum is what the spectral bound knows of a series: the magnitudes
+// |S_f| of its DFT at f = 1..4 and its squared norm ‖s‖². Rotation and
+// mirroring leave both unchanged, so a dictionary computes each entry's
+// Spectrum once and bounds every alignment of it against any query.
+type Spectrum struct {
+	Mag [specTerms]float64
+	SS  float64
+}
+
+// SpecTable computes Spectra of series of one length with the table-driven
+// DFT sums the Aligner's own bound uses, so a Spectrum computed ahead of a
+// lookup is bit-identical to the one BoundExceeds computes during it. The
+// zero value serves length 0; a table is immutable once built and may be
+// shared between goroutines.
+type SpecTable struct {
+	n int
 	// dft[i·2K+2f], dft[i·2K+2f+1] = cos, sin of 2π(f+1)i/n, f < K =
-	// specTerms: the spectral bound's DFT terms, interleaved per sample.
-	dft      []float64
-	qmag     [specTerms]float64
-	boundful bool // n > 2·specTerms: the spectral bound applies
+	// specTerms, interleaved per sample; nil when n ≤ 2·specTerms, where
+	// frequencies f and n−f coincide and the bound does not apply.
+	dft []float64
+}
+
+// NewSpecTable builds the DFT table for series of length n.
+func NewSpecTable(n int) SpecTable {
+	t := SpecTable{n: n}
+	if n > 2*specTerms {
+		t.dft = make([]float64, 2*specTerms*n)
+		for i := 0; i < n; i++ {
+			for f := 0; f < specTerms; f++ {
+				t.dft[2*(i*specTerms+f)], t.dft[2*(i*specTerms+f)+1] = unitRoot((f+1)*i%n, n)
+			}
+		}
+	}
+	return t
 }
 
 // Prepare binds the aligner to query q (borrowed until the next Prepare):
@@ -85,9 +119,7 @@ func (al *Aligner) Prepare(q Series) {
 		}
 	}
 	al.plan.fft(al.qs)
-	if al.boundful {
-		al.qmag, _ = al.dftMags(q)
-	}
+	al.qmag = al.spec.Of(q).Mag
 }
 
 // resize builds the length-dependent tables: M = n when n is a power of two,
@@ -107,17 +139,9 @@ func (al *Aligner) resize(n int) {
 	al.qs = make([]complex128, m)
 	al.buf = make([]complex128, m)
 	al.est = make([]float64, n)
+	al.mir = make(Series, n)
 	al.plan = newFFTPlan(m)
-	al.boundful = n > 2*specTerms
-	al.dft = nil
-	if al.boundful {
-		al.dft = make([]float64, 2*specTerms*n)
-		for i := 0; i < n; i++ {
-			for f := 0; f < specTerms; f++ {
-				al.dft[2*(i*specTerms+f)], al.dft[2*(i*specTerms+f)+1] = unitRoot((f+1)*i%n, n)
-			}
-		}
-	}
+	al.spec = NewSpecTable(n)
 }
 
 // unitRoot returns cos and sin of 2πj/n.
@@ -189,31 +213,41 @@ func (p *fftPlan) fft(x []complex128) {
 	}
 }
 
-// dftMags returns |S_f| for f = 1..specTerms, each a table-driven n-term
-// DFT sum, and ‖s‖², all accumulated in index order.
-func (al *Aligner) dftMags(s Series) (mag [specTerms]float64, ss float64) {
+// Of returns the Spectrum of s, which must have the table's length: each
+// |S_f| a table-driven n-term DFT sum and ‖s‖², all accumulated in index
+// order. Below the bound's minimum length only SS is filled in.
+func (t *SpecTable) Of(s Series) Spectrum {
+	if t.dft == nil {
+		var ss float64
+		for _, x := range s {
+			ss += x * x
+		}
+		return Spectrum{SS: ss}
+	}
 	// Unrolled for specTerms = 4: eight named accumulators stay in registers.
-	var c1, s1, c2, s2, c3, s3, c4, s4 float64
-	tab := al.dft[:2*specTerms*len(s)]
+	var c1, s1, c2, s2, c3, s3, c4, s4, ss float64
+	tab := t.dft[:2*specTerms*len(s)]
 	for i, x := range s {
-		t := tab[8*i : 8*i+8 : 8*i+8]
-		c1 += x * t[0]
-		s1 += x * t[1]
-		c2 += x * t[2]
-		s2 += x * t[3]
-		c3 += x * t[4]
-		s3 += x * t[5]
-		c4 += x * t[6]
-		s4 += x * t[7]
+		w := tab[8*i : 8*i+8 : 8*i+8]
+		c1 += x * w[0]
+		s1 += x * w[1]
+		c2 += x * w[2]
+		s2 += x * w[3]
+		c3 += x * w[4]
+		s3 += x * w[5]
+		c4 += x * w[6]
+		s4 += x * w[7]
 		ss += x * x
 	}
-	mag = [specTerms]float64{
-		math.Sqrt(c1*c1 + s1*s1),
-		math.Sqrt(c2*c2 + s2*s2),
-		math.Sqrt(c3*c3 + s3*s3),
-		math.Sqrt(c4*c4 + s4*s4),
+	return Spectrum{
+		Mag: [specTerms]float64{
+			math.Sqrt(c1*c1 + s1*s1),
+			math.Sqrt(c2*c2 + s2*s2),
+			math.Sqrt(c3*c3 + s3*s3),
+			math.Sqrt(c4*c4 + s4*s4),
+		},
+		SS: ss,
 	}
-	return mag, ss
 }
 
 // tau returns the absolute tolerance τ for candidates whose squared norms,
@@ -228,34 +262,52 @@ func (al *Aligner) tau(p float64) float64 {
 	return al.kappa*p + 0x1p-1000
 }
 
+// LowerBound returns the spectral lower bound lb² =
+// (2/n)·Σ_{f=1..4}(|Q_f|−|E_f|)² of the prepared query against a series
+// with Spectrum es, taken from a table of the query's length: |DFT| does not
+// change under rotation or mirroring, so by Parseval lb² undercuts the
+// squared distance at every shift of both orientations, up to the rounding
+// BoundSlack allows for. It is 0 for series of 8 or fewer samples (where
+// frequency f and n−f coincide).
+func (al *Aligner) LowerBound(es Spectrum) float64 {
+	if al.spec.dft == nil {
+		return 0
+	}
+	var lb2 float64
+	for f, m := range es.Mag {
+		d := al.qmag[f] - m
+		lb2 += d * d
+	}
+	return lb2 * (2 / float64(al.n))
+}
+
+// BoundSlack returns the tolerance τ the spectral bound is compared under
+// for a candidate of squared norm ee: lb² > cutoff² + BoundSlack(ee) proves
+// that both orientations exceed cutoff at every shift. It is monotone in
+// ee, so the slack of the largest ee in a set bounds that of every member.
+func (al *Aligner) BoundSlack(ee float64) float64 {
+	return al.tau(al.qq + 2*ee)
+}
+
 // BoundExceeds reports whether the spectral lower bound proves that no
 // rotation of e — nor of its mirror, which has the same DFT magnitudes —
 // comes within cutoff of the prepared query: then
 // MinRotationDistWindowCutoff returns +Inf for both orientations at every
-// shift window, and the candidate cannot enter any result. The bound is
-// lb² = (2/n)·Σ_{f=1..4}(|Q_f|−|E_f|)²: |DFT| does not change under
-// rotation, so by Parseval lb² undercuts every rotation's squared distance.
-// It reports false for series of 8 or fewer samples (where frequency f and
-// n−f coincide) and for a length mismatch.
+// shift window, and the candidate cannot enter any result. It reports false
+// for series of 8 or fewer samples and for a length mismatch.
 func (al *Aligner) BoundExceeds(e Series, cutoff float64) bool {
-	if !al.boundful || len(e) != al.n {
+	if al.spec.dft == nil || len(e) != al.n {
 		return false
 	}
-	emag, ee := al.dftMags(e)
-	var lb2 float64
-	for f := range emag {
-		d := al.qmag[f] - emag[f]
-		lb2 += d * d
-	}
-	lb2 *= 2 / float64(al.n)
-	return lb2 > cutoff*cutoff+al.tau(al.qq+2*ee)
+	es := al.spec.Of(e)
+	return al.LowerBound(es) > cutoff*cutoff+al.BoundSlack(es.SS)
 }
 
 // Align returns exactly what the direct pair of scans returns: d, s from
 // MinRotationDistWindowCutoff(q, e, maxShift, cutoff), then the mirror r
 // with cutoff min(cutoff, d), the mirror winning only if strictly closer —
 // the same distance bits, shift and mirror flag. r is any series of e's
-// length; the lookup cascade passes e's cached mirror.
+// length; AlignMirror passes e's mirror.
 //
 // One forward FFT of e + i·r and one inverse against the query's spectrum
 // give the circular cross-correlation of both orientations at every shift;
@@ -301,6 +353,15 @@ func (al *Aligner) Align(e, r Series, maxShift int, cutoff float64) (best float6
 		best, shift, mirrored = dRev, sRev, true
 	}
 	return best, shift, mirrored, nil
+}
+
+// AlignMirror is Align against e's mirror candidate, r[i] = e[−i mod n]
+// (see Series.MirrorInto), built in the aligner's own scratch.
+func (al *Aligner) AlignMirror(e Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	if len(e) != al.n {
+		return 0, 0, false, ErrLengthMismatch
+	}
+	return al.Align(e, e.MirrorInto(al.mir), maxShift, cutoff)
 }
 
 // verify runs the direct scan of b against the query over the shifts whose

@@ -224,6 +224,56 @@ func TestAlignerErrors(t *testing.T) {
 	}
 }
 
+// TestPrecomputedSpectrumMatchesBound holds the lookup's split of the
+// spectral bound — a Spectrum computed once per entry by its own SpecTable,
+// then LowerBound and BoundSlack per query — to BoundExceeds, and AlignMirror
+// to Align against the mirror built by MirrorInto.
+func TestPrecomputedSpectrumMatchesBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var al Aligner
+	for _, n := range append([]int{1, 2, 8, 9}, alignLengths...) {
+		tab := NewSpecTable(n)
+		for trial := 0; trial < 5; trial++ {
+			q := smoothShape(rng, n).ZNormalize()
+			e := smoothShape(rng, n).ZNormalize()
+			if trial == 0 {
+				e = q.Reverse().Rotate(rng.Intn(n))
+			}
+			al.Prepare(q)
+			m := e.MirrorInto(nil)
+			for i, v := range mirrorOf(e) {
+				if math.Float64bits(m[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d: MirrorInto[%d] = %v, want %v", n, i, m[i], v)
+				}
+			}
+			es := tab.Of(e)
+			exact, _, _ := directPair(t, q, e, m, -1, math.Inf(1))
+			for _, c := range []float64{math.Inf(1), 0, exact, exact / 2, exact / 4} {
+				if got, want := al.LowerBound(es) > c*c+al.BoundSlack(es.SS), al.BoundExceeds(e, c); got != want {
+					t.Fatalf("n=%d cutoff=%v: precomputed bound prunes %v, BoundExceeds %v", n, c, got, want)
+				}
+				for _, win := range []int{-1, n / 8} {
+					gd, gs, gm, err := al.AlignMirror(e, win, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wd, ws, wm, err := al.Align(e, m, win, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(gd) != math.Float64bits(wd) || gs != ws || gm != wm {
+						t.Fatalf("n=%d win=%d cutoff=%v: AlignMirror (%v, %d, %v), Align (%v, %d, %v)", n, win, c, gd, gs, gm, wd, ws, wm)
+					}
+				}
+			}
+		}
+	}
+	al.Prepare(Series{1, 2, 3})
+	if _, _, _, err := al.AlignMirror(Series{1, 2}, -1, math.Inf(1)); !errors.Is(err, ErrLengthMismatch) {
+		t.Fatalf("AlignMirror length mismatch: got %v", err)
+	}
+}
+
 // TestSpectralBoundPrunes checks that the bound does its job on the
 // lookup's shape family: unrelated shapes are pruned at a cutoff well below
 // their distance.

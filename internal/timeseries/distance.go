@@ -171,7 +171,7 @@ func MinRotationMirrorDistWindow(a, b Series, maxShift int) (best float64, shift
 	}
 	// Reverse maps b[0] to position n-1; rotating left by n-1 (= -1) brings
 	// the original start back to index 0 so the same window applies.
-	d2, s2, err := MinRotationDistWindow(a, b.Reverse().Rotate(-1), maxShift)
+	d2, s2, err := MinRotationDistWindow(a, b.MirrorInto(nil), maxShift)
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -232,6 +232,26 @@ func (s Series) Reverse() Series {
 	return out
 }
 
+// MirrorInto writes s's mirror candidate into dst and returns it: m[i] =
+// s[−i mod n], the reversal rotated by one so a pure reflection about the
+// first sample sits at shift 0 (s.Reverse().Rotate(-1) without the
+// allocations). dst is grown when shorter than s.
+func (s Series) MirrorInto(dst Series) Series {
+	n := len(s)
+	if cap(dst) < n {
+		dst = make(Series, n)
+	}
+	dst = dst[:n]
+	if n == 0 {
+		return dst
+	}
+	dst[0] = s[0]
+	for i := 1; i < n; i++ {
+		dst[i] = s[n-i]
+	}
+	return dst
+}
+
 // Smooth returns a centered moving-average of s with the given window
 // half-width (window = 2*half+1), reflecting at the edges. half <= 0 returns
 // a copy.
