@@ -154,16 +154,6 @@ type ArmPose struct {
 	ElbowDeg float64
 }
 
-// PoseOf returns a sign's canonical arm poses (left, right).
-func PoseOf(s Sign) (left, right ArmPose, err error) {
-	if !s.Valid() {
-		return ArmPose{}, ArmPose{}, fmt.Errorf("body: invalid sign %d", int(s))
-	}
-	p := poses[s]
-	return ArmPose{p.left.shoulderDeg, p.left.elbowDeg},
-		ArmPose{p.right.shoulderDeg, p.right.elbowDeg}, nil
-}
-
 // Lerp interpolates between two arm poses (t = 0 -> a, t = 1 -> b).
 func (a ArmPose) Lerp(b ArmPose, t float64) ArmPose {
 	return ArmPose{

@@ -18,7 +18,6 @@ import (
 	"hdc/internal/flight"
 	"hdc/internal/geom"
 	"hdc/internal/human"
-	"hdc/internal/ledring"
 	"hdc/internal/pipeline"
 	"hdc/internal/protocol"
 	"hdc/internal/raster"
@@ -30,12 +29,7 @@ import (
 // config collects option state.
 type config struct {
 	seed        int64
-	flight      flight.Params
-	ring        ledring.Options
-	safety      drone.SafetyLimits
 	sceneCfg    scene.Config
-	recCfg      recognizer.Config
-	protoCfg    protocol.Config
 	pipeCfg     pipeline.Config
 	sharedPipe  *pipeline.Pipeline // non-nil: attach instead of owning a pool
 	poolLabel   string             // stats attribution name on the shared pool
@@ -54,23 +48,8 @@ type Option func(*config)
 // WithSeed fixes the random seed (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithFlightParams overrides the airframe limits.
-func WithFlightParams(p flight.Params) Option { return func(c *config) { c.flight = p } }
-
-// WithRingOptions overrides the all-round-light configuration.
-func WithRingOptions(o ledring.Options) Option { return func(c *config) { c.ring = o } }
-
-// WithSafetyLimits overrides the safety monitor limits.
-func WithSafetyLimits(s drone.SafetyLimits) Option { return func(c *config) { c.safety = s } }
-
 // WithSceneConfig overrides the synthetic camera.
 func WithSceneConfig(s scene.Config) Option { return func(c *config) { c.sceneCfg = s } }
-
-// WithRecognizerConfig overrides the SAX pipeline parameters.
-func WithRecognizerConfig(r recognizer.Config) Option { return func(c *config) { c.recCfg = r } }
-
-// WithProtocolConfig overrides negotiation timeouts/retries.
-func WithProtocolConfig(p protocol.Config) Option { return func(c *config) { c.protoCfg = p } }
 
 // WithPipelineConfig sizes the streaming recognition worker pool behind
 // NewStream/RecognizeBatch (default: NumCPU workers). It is ignored when the
@@ -80,9 +59,9 @@ func WithPipelineConfig(p pipeline.Config) Option { return func(c *config) { c.p
 
 // WithSharedPipeline attaches the system to an externally built worker pool
 // (NewSharedPool, or another system's exported pipeline) instead of starting
-// a private one. Build the pool with the same scene and recogniser options
-// as the systems that attach to it: the pool recognises against its own
-// reference database, so a resolution or tuning mismatch between a drone's
+// a private one. Build the pool with the same scene and negotiation-geometry
+// options as the systems that attach to it: the pool recognises against its
+// own reference database, so a resolution or view mismatch between a drone's
 // camera and the pool silently degrades recognition. The attachment is made
 // inside NewSystem — so the pool's reference count always matches the set of
 // constructed systems — and NewSystem fails with pipeline.ErrClosed if the
@@ -178,12 +157,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	log := telemetry.NewLog()
 	rng := rand.New(rand.NewSource(cfg.seed))
 
-	agent, err := drone.New(drone.Config{
-		Flight: cfg.flight,
-		Ring:   cfg.ring,
-		Safety: cfg.safety,
-		Home:   cfg.home,
-	}, log)
+	agent, err := drone.New(drone.Config{Home: cfg.home}, log)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -196,7 +170,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	}
 
 	rend := scene.NewRenderer(cfg.sceneCfg)
-	rec, err := recognizer.New(cfg.recCfg)
+	rec, err := recognizer.New(recognizer.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -210,7 +184,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Agent:            agent,
 		Rend:             rend,
 		Rec:              rec,
-		Engine:           protocol.NewEngine(cfg.protoCfg, log),
+		Engine:           protocol.NewEngine(protocol.Config{}, log),
 		Log:              log,
 		Rng:              rng,
 		standoff:         cfg.standoff,
@@ -233,9 +207,9 @@ func NewSystem(opts ...Option) (*System, error) {
 
 // NewSharedPool builds a standalone recognition worker pool for a fleet: a
 // renderer and recogniser assembled from the same options NewSystem honours
-// (scene, recogniser, negotiation geometry and pipeline sizing; airframe and
-// world options are irrelevant here and ignored), references built at the
-// canonical negotiation view, and the workers started. Hand the pool to N
+// (scene, negotiation geometry and pipeline sizing; world options are
+// irrelevant here and ignored), references built at the canonical
+// negotiation view, and the workers started. Hand the pool to N
 // systems via WithSharedPipeline; it drains when the last attached system
 // closes, or immediately on Pipeline.Close (the force path). A pool nobody
 // ever attaches to must be shut down with Pipeline.Close.
@@ -249,7 +223,7 @@ func NewSharedPool(opts ...Option) (*pipeline.Pipeline, error) {
 		o(cfg)
 	}
 	rend := scene.NewRenderer(cfg.sceneCfg)
-	rec, err := recognizer.New(cfg.recCfg)
+	rec, err := recognizer.New(recognizer.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: shared pool: %w", err)
 	}

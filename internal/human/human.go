@@ -108,9 +108,9 @@ func DefaultProfile(r Role) (Profile, error) {
 //
 // Concurrency: a collaborator in a shared world may be observed by one drone
 // while the world stepper moves them, so all behavioural methods and the
-// Position/SetPosition/Heading/SetFacing accessors synchronise on an
-// internal mutex. The exported Pos/Facing fields remain for single-goroutine
-// construction and tests; concurrent code must go through the accessors.
+// Position/Heading/SetFacing accessors synchronise on an internal mutex. The
+// exported Pos/Facing fields remain for single-goroutine construction and
+// tests; concurrent code must go through the accessors.
 type Collaborator struct {
 	Name    string
 	Role    Role
@@ -127,13 +127,6 @@ func (c *Collaborator) Position() geom.Vec2 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.Pos
-}
-
-// SetPosition moves the collaborator.
-func (c *Collaborator) SetPosition(p geom.Vec2) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Pos = p
 }
 
 // Heading returns the direction the collaborator is facing.

@@ -205,3 +205,113 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 		t.Fatal("condition not reached before timeout")
 	}
 }
+
+// TestStreamBatchReusedStream runs Stream.Batch over one stream the way a
+// server session does: successive batches keep input order (one larger
+// than the window, so submission races collection), every pooled frame
+// recycles exactly once, and an expired ctx answers the tail with ctx.Err()
+// and abandons the stream.
+func TestStreamBatchReusedStream(t *testing.T) {
+	rec, _ := newRecognizer(t)
+	p, err := New(rec, Config{Workers: 2, QueueDepth: 2, StreamWindow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Each frame carries its batch-wide index in its first pixel; the proc
+	// echoes it back so the test can read order off the results. A frame
+	// marked stallMark parks its worker until release closes.
+	const stallMark = 255
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unstall() // a failing test must not leave p.Close waiting on the stall
+	st, err := p.NewProcStream(func(_ *recognizer.Scratch, _ uint64, f *raster.Gray) (recognizer.Result, error) {
+		if f.Pix[0] == stallMark {
+			<-release
+		}
+		return recognizer.Result{Confidence: float64(f.Pix[0])}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool raster.Pool
+	batch := func(first, n int) []*raster.Gray {
+		frames := make([]*raster.Gray, n)
+		for i := range frames {
+			frames[i] = pool.Get(8, 8)
+			frames[i].Pix[0] = byte(first + i)
+		}
+		return frames
+	}
+	balanced := func() bool {
+		gets, puts := pool.Stats()
+		return gets == puts
+	}
+
+	next := 0
+	for _, n := range []int{1, 5, 3} {
+		res, errs, claimed, err := st.Batch(context.Background(), batch(next, n), pool.Put)
+		if err != nil || claimed != n {
+			t.Fatalf("batch of %d: claimed %d, err %v", n, claimed, err)
+		}
+		for i := range res {
+			if errs[i] != nil || res[i].Confidence != float64(next+i) {
+				t.Fatalf("batch of %d, slot %d: %v (err %v), want %d", n, i, res[i].Confidence, errs[i], next+i)
+			}
+		}
+		if !balanced() {
+			t.Fatalf("batch of %d left the pool unbalanced", n)
+		}
+		next += n
+	}
+
+	// The stalled second frame holds the window, so the batch cannot finish
+	// before its 50 ms budget.
+	frames := batch(next, 6)
+	frames[1].Pix[0] = stallMark
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	rc := newCountingRecycler()
+	res, errs, claimed, err := st.Batch(ctx, frames, func(g *raster.Gray) {
+		rc.recycle(g)
+		pool.Put(g)
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired batch: err %v", err)
+	}
+	if claimed < 2 || claimed >= len(frames) {
+		t.Fatalf("expired batch claimed %d of %d", claimed, len(frames))
+	}
+	if errs[0] != nil || res[0].Confidence != float64(next) {
+		t.Fatalf("slot 0 before the stall: %v (err %v)", res[0].Confidence, errs[0])
+	}
+	for i := 1; i < len(frames); i++ {
+		if !errors.Is(errs[i], context.DeadlineExceeded) {
+			t.Fatalf("tail slot %d: %v, want ctx.Err()", i, errs[i])
+		}
+	}
+	// On a stream that was not abandoned this probe would wait on the full
+	// window; the timeout turns that into a failure instead of a hang.
+	probe, cancelProbe := context.WithTimeout(context.Background(), time.Second)
+	defer cancelProbe()
+	if claimed, err := st.SubmitContext(probe, nil); claimed || !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("submit after the abandon: claimed %v, err %v", claimed, err)
+	}
+
+	// The claimed-but-undelivered frames recycle through the drop hook once
+	// the stalled worker lets go; the drained stream then deregisters.
+	unstall()
+	waitUntil(t, 5*time.Second, func() bool {
+		once, multi := rc.total()
+		return p.Stats().Streams == 0 && once+multi == len(frames)
+	})
+	if once, multi := rc.total(); once != len(frames) || multi != 0 {
+		t.Fatalf("expired batch recycled once=%d multi=%d, want %d/0", once, multi, len(frames))
+	}
+	if !balanced() {
+		gets, puts := pool.Stats()
+		t.Fatalf("after the drain: %d gets, %d puts", gets, puts)
+	}
+}

@@ -234,21 +234,9 @@ func (p *Pipeline) worker() {
 }
 
 // enqueue places a job on the worker queue, failing once the pipeline is
-// closed. The read lock spans the send so Close cannot close the channel
-// under an in-flight send.
-func (p *Pipeline) enqueue(j job) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	p.in <- j
-	return nil
-}
-
-// enqueueCtx is enqueue with a deadline: a send blocked on a full worker
-// queue gives up when ctx expires instead of waiting indefinitely.
-func (p *Pipeline) enqueueCtx(ctx context.Context, j job) error {
+// closed, or when ctx expires while the queue is full. The read lock spans
+// the send so Close cannot close the channel under an in-flight send.
+func (p *Pipeline) enqueue(ctx context.Context, j job) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -389,8 +377,8 @@ func (p *Pipeline) RecognizeBatchContext(ctx context.Context, frames []*raster.G
 	return recognizeBatchContext(ctx, p.NewStream, frames, recycle)
 }
 
-// recognizeBatchContext runs the ordered-batch convenience over a stream
-// from newStream — the one implementation behind RecognizeBatch and
+// recognizeBatchContext runs the ordered-batch convenience over a private
+// stream from newStream — the one implementation behind RecognizeBatch and
 // RecognizeBatchContext on both Pipeline and Owner, so owner-attributed
 // batches cannot drift from the direct path. With a Done-less ctx and a nil
 // recycle it is the plain batch: SubmitContext then submits exactly as
@@ -403,73 +391,95 @@ func recognizeBatchContext(ctx context.Context, newStream func() (*Stream, error
 			return nil, nil, ErrNilFrame
 		}
 	}
-	results := make([]recognizer.Result, len(frames))
-	errs := make([]error, len(frames))
 	if len(frames) == 0 {
-		return results, errs, nil
+		return []recognizer.Result{}, []error{}, nil
 	}
 	st, err := newStream()
 	if err != nil {
 		return nil, nil, err
 	}
+	results, errs, _, _ := st.Batch(ctx, frames, recycle)
+	st.Close()
+	return results, errs, nil
+}
+
+// Batch submits frames to the stream in order and returns their results in
+// input order, one error slot per frame. Submission runs on its own
+// goroutine, so a batch larger than the stream window cannot deadlock
+// against the back-pressure it exercises, and Batch collects exactly the
+// results of the frames that entered the stream (claimed), so a reused
+// stream is empty again when it returns. Callers serialise Batch calls on
+// one stream.
+//
+// Batch owns every frame: recycle (which may be nil) is called exactly once
+// per frame — for each delivered result and each frame that never entered
+// the stream before Batch returns, and, because Batch installs recycle as
+// the stream's drop hook, from the drain goroutine for each frame an
+// abandon drops. When ctx expires before the last claimed result, Batch
+// abandons the stream (an ordered stream cannot skip a frame) and returns
+// ctx.Err() as err. Unfinished slots carry ctx.Err() once ctx has expired,
+// ErrClosed otherwise (the stream or the pool closed under the batch).
+func (s *Stream) Batch(ctx context.Context, frames []*raster.Gray, recycle func(*raster.Gray)) (results []recognizer.Result, errs []error, claimed int, err error) {
 	if recycle != nil {
-		st.SetDropHook(recycle)
+		s.SetDropHook(recycle)
 	}
+	claimedCh := make(chan int, 1)
 	go func() {
-		defer st.Close()
-		for i, f := range frames {
-			claimed, err := st.SubmitContext(ctx, f)
+		n := 0
+		for _, f := range frames {
+			ok, err := s.SubmitContext(ctx, f)
+			if ok {
+				n++
+			}
 			if err != nil {
-				// Claimed frames surface as results; everything after this
-				// point never entered the stream, so recycle it here.
-				rest := i
-				if claimed {
-					rest = i + 1
-				}
-				if recycle != nil {
-					for _, g := range frames[rest:] {
-						recycle(g)
-					}
-				}
-				return
+				break
 			}
 		}
+		claimedCh <- n
 	}()
-	seen := make([]bool, len(frames))
-	done := ctx.Done()
+	results = make([]recognizer.Result, len(frames))
+	errs = make([]error, len(frames))
+	collected := 0
+	claimed = -1 // until the submitter reports
 collect:
-	for {
+	for claimed < 0 || collected < claimed {
 		select {
-		case r, ok := <-st.Results():
+		case r, ok := <-s.out:
 			if !ok {
+				// The channel closes only once every claimed result has been
+				// delivered, so the stream closed under the batch.
 				break collect
 			}
-			if r.Seq < uint64(len(frames)) {
-				results[r.Seq] = r.Res
-				errs[r.Seq] = r.Err
-				seen[r.Seq] = true
-			}
+			results[collected], errs[collected] = r.Res, r.Err
+			collected++
 			if recycle != nil && r.Frame != nil {
 				recycle(r.Frame)
 			}
-		case <-done:
-			// Deadline: stop waiting. Abandon turns the undelivered remainder
-			// into drop-hook recycles and lets slow workers finish in the
-			// background rather than on the caller's clock.
-			st.Abandon()
+		case claimed = <-claimedCh:
+		case <-ctx.Done():
+			// Abandon routes the claimed-but-undelivered frames to the drop
+			// hook and unblocks the submitter's window waits.
+			s.Abandon()
+			err = ctx.Err()
 			break collect
 		}
 	}
-	for i := range seen {
-		if !seen[i] {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-			} else {
-				errs[i] = ErrClosed
-			}
+	if claimed < 0 {
+		claimed = <-claimedCh
+	}
+	tail := ErrClosed
+	if cerr := ctx.Err(); cerr != nil {
+		tail = cerr
+	}
+	for i := collected; i < len(frames); i++ {
+		errs[i] = tail
+		// Frames past claimed never entered the stream; claimed ones that
+		// were not delivered belong to the drop hook.
+		if i >= claimed && recycle != nil {
+			recycle(frames[i])
 		}
 	}
-	return results, errs, nil
+	return results, errs, claimed, err
 }
 
 // StreamResult is one delivered recognition: the submitted frame (returned
@@ -528,46 +538,9 @@ func newStream(p *Pipeline) *Stream {
 // out of band keyed on seq — the graph runtime's non-vision workloads (LED
 // rings, IMU windows, trajectories) dispatch exactly that way — and its Proc
 // must therefore tolerate a nil frame argument.
-func (s *Stream) Submit(frame *raster.Gray) error { return s.submit(frame, trace.Handle{}) }
-
-// submit is Submit carrying an optional trace handle begun upstream (the
-// ingest ring's Offer stamp); frames arriving without one begin their trace
-// at the enqueue boundary.
-func (s *Stream) submit(frame *raster.Gray, h trace.Handle) error {
-	if frame == nil && s.proc == nil {
-		return ErrNilFrame
-	}
-	s.mu.Lock()
-	for s.inflight >= s.p.cfg.StreamWindow && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return ErrStreamClosed
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	s.inflight++
-	s.mu.Unlock()
-
-	h = s.traceEnqueue(h)
-	if err := s.p.enqueue(job{st: s, seq: seq, frame: frame, tr: h}); err != nil {
-		// The sequence number is already claimed; deliver the failure as a
-		// result so the stream's ordering has no hole.
-		s.complete(seq, frame, h, recognizer.Result{}, err)
-		return err
-	}
-	return nil
-}
-
-// traceEnqueue stamps the enqueue boundary, beginning the trace first for
-// frames that did not pass through an ingest ring.
-func (s *Stream) traceEnqueue(h trace.Handle) trace.Handle {
-	if !h.Active() {
-		h = s.p.tracer.Begin(s.traceOwner)
-	}
-	h.Stamp(trace.StageEnqueue)
-	return h
+func (s *Stream) Submit(frame *raster.Gray) error {
+	_, err := s.submit(context.Background(), frame, trace.Handle{})
+	return err
 }
 
 // SubmitContext is Submit with a deadline: both waits — the stream's
@@ -579,24 +552,29 @@ func (s *Stream) traceEnqueue(h trace.Handle) trace.Handle {
 // exactly Submit's ErrClosed convention. A ctx with no deadline or
 // cancellation behaves identically to Submit.
 func (s *Stream) SubmitContext(ctx context.Context, frame *raster.Gray) (claimed bool, err error) {
-	if ctx.Done() == nil {
-		err := s.Submit(frame)
-		return err == nil || errors.Is(err, ErrClosed), err
-	}
+	return s.submit(ctx, frame, trace.Handle{})
+}
+
+// submit is SubmitContext carrying an optional trace handle begun upstream
+// (the ingest ring's Offer stamp); frames arriving without one begin their
+// trace at the enqueue boundary.
+func (s *Stream) submit(ctx context.Context, frame *raster.Gray, h trace.Handle) (claimed bool, err error) {
 	if frame == nil && s.proc == nil {
 		return false, ErrNilFrame
 	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	// AfterFunc pokes the cond so a Submit parked on the window wakes up and
-	// notices the expired context.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
+	if ctx.Done() != nil {
+		// AfterFunc pokes the cond so a submit parked on the window wakes up
+		// and notices the expired context.
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		})
+		defer stop()
+	}
 
 	s.mu.Lock()
 	for s.inflight >= s.p.cfg.StreamWindow && !s.closed && ctx.Err() == nil {
@@ -615,13 +593,24 @@ func (s *Stream) SubmitContext(ctx context.Context, frame *raster.Gray) (claimed
 	s.inflight++
 	s.mu.Unlock()
 
-	h := s.traceEnqueue(trace.Handle{})
-	if err := s.p.enqueueCtx(ctx, job{st: s, seq: seq, frame: frame, tr: h}); err != nil {
-		// Claimed: deliver the failure as a result so ordering has no hole.
+	h = s.traceEnqueue(h)
+	if err := s.p.enqueue(ctx, job{st: s, seq: seq, frame: frame, tr: h}); err != nil {
+		// The sequence number is already claimed; deliver the failure as a
+		// result so the stream's ordering has no hole.
 		s.complete(seq, frame, h, recognizer.Result{}, err)
 		return true, err
 	}
 	return true, nil
+}
+
+// traceEnqueue stamps the enqueue boundary, beginning the trace first for
+// frames that did not pass through an ingest ring.
+func (s *Stream) traceEnqueue(h trace.Handle) trace.Handle {
+	if !h.Active() {
+		h = s.p.tracer.Begin(s.traceOwner)
+	}
+	h.Stamp(trace.StageEnqueue)
+	return h
 }
 
 // Window returns the stream's in-flight frame bound (the pipeline's

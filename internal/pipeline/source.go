@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -175,7 +176,7 @@ func (s *Source) forward() {
 			s.drop(f, h)
 			continue
 		}
-		if err := s.st.submit(f, h); err != nil {
+		if claimed, err := s.st.submit(context.Background(), f, h); err != nil {
 			// The stream or pipeline closed underneath us: everything still
 			// queued can only be dropped, and future Offers should fail
 			// fast.
@@ -183,7 +184,7 @@ func (s *Source) forward() {
 			s.closed = true
 			s.discard = true
 			s.mu.Unlock()
-			if errors.Is(err, ErrClosed) {
+			if claimed {
 				// Submit claimed a sequence number before the pool refused
 				// the frame, so it comes back as an error result and is
 				// recycled on the delivery (or drop-hook) path — dropping

@@ -86,19 +86,6 @@ func (g *Gray) Resize(w, h int) error {
 	return nil
 }
 
-// CloneInto copies g into dst (resizing dst as needed) and returns dst.
-// A nil dst allocates, making CloneInto(nil) equivalent to Clone.
-func (g *Gray) CloneInto(dst *Gray) *Gray {
-	if dst == nil {
-		return g.Clone()
-	}
-	if err := dst.Resize(g.W, g.H); err != nil {
-		return g.Clone()
-	}
-	copy(dst.Pix, g.Pix)
-	return dst
-}
-
 // In reports whether (x, y) lies inside the image.
 func (g *Gray) In(x, y int) bool { return x >= 0 && x < g.W && y >= 0 && y < g.H }
 

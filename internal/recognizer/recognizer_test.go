@@ -520,35 +520,3 @@ func TestConfidenceIgnoresSameSignExemplars(t *testing.T) {
 		t.Fatalf("rival margin %v deflated by same-sign exemplars", rel)
 	}
 }
-
-// TestMonitorEventConfidence: hold events carry the confirming frame's
-// confidence.
-func TestMonitorEventConfidence(t *testing.T) {
-	rec, rend := newCalibrated(t)
-	mon, err := NewMonitor(rec, MonitorConfig{HoldFrames: 2, ReleaseFrames: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var held *SignEvent
-	for i := 0; i < 4 && held == nil; i++ {
-		frame, err := rend.Render(body.SignYes, scene.ReferenceView(), body.Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := mon.Push(frame, 33*1e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range events {
-			if events[j].Stable {
-				held = &events[j]
-			}
-		}
-	}
-	if held == nil {
-		t.Fatal("sign never became stable")
-	}
-	if held.Confidence <= 0 || held.Confidence > 1 {
-		t.Fatalf("hold event confidence %v", held.Confidence)
-	}
-}

@@ -102,7 +102,7 @@ func replayWAL(dir string, p segParams, skipBelow uint64) ([]walRecord, int64, e
 	var (
 		recs    []walRecord
 		good    int64 // offset after the last whole, checksum-valid record
-		br      = bufio.NewReaderSize(f, 1<<20)
+		br      = bufio.NewReader(f)
 		hdr     [8]byte
 		lastSeq uint64
 	)

@@ -52,6 +52,42 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
+// admitFrames is the preamble every frame endpoint shares: it caps the
+// body, decodes the frames, then admits them (admitWork). On a refusal it
+// has answered the request and recycled every decoded frame, and ok is
+// false; otherwise the caller owns the frames and calls done when the
+// request ends.
+func (s *Server) admitFrames(w http.ResponseWriter, r *http.Request, maxBatch int, single bool) (frames []*raster.Gray, ctx context.Context, done func(), ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	frames, err := decodeFrames(r, &s.framePool, maxBatch, single)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nil, nil, false
+	}
+	if ctx, done, ok = s.admitWork(w, r, len(frames)); !ok {
+		releaseFrames(&s.framePool, frames)
+		return nil, nil, nil, false
+	}
+	return frames, ctx, done, true
+}
+
+// admitWork derives a request's work context from DeadlineHeader and
+// reserves n items of admission budget, answering 400 or 429 itself when it
+// refuses. done cancels the context and returns the budget.
+func (s *Server) admitWork(w http.ResponseWriter, r *http.Request, n int) (ctx context.Context, done func(), ok bool) {
+	ctx, cancel, err := requestContext(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nil, false
+	}
+	if !s.admit(n) {
+		cancel()
+		writeOverloaded(w)
+		return nil, nil, false
+	}
+	return ctx, func() { cancel(); s.unadmit(n) }, true
+}
+
 // admit reserves n frames of admission budget, or reports the server full.
 // The add-then-check shape keeps the counter honest under races: two
 // requests can only both reject, never both slip past the cap.
@@ -74,15 +110,20 @@ func writeOverloaded(w http.ResponseWriter) {
 	writeError(w, http.StatusTooManyRequests, errOverloaded)
 }
 
-// overloaded reports whether the pool queue has crossed the degrade
-// watermark — the signal that full-cascade answers are about to queue
-// behind a backlog, so cheap degraded answers serve the users better.
+// degradeWatermark is the pool-queue occupancy fraction past which
+// /v1/recognize and /v1/batch answer from the cascade's cheap stage-0 path,
+// marked degraded:true, instead of joining the backlog.
+const degradeWatermark = 0.75
+
+// overloaded reports whether the pool queue has crossed degradeWatermark —
+// the signal that full-cascade answers are about to queue behind a backlog,
+// so cheap degraded answers serve the users better.
 func (s *Server) overloaded() bool {
 	queued, capacity, started := s.sys.PoolQueue()
 	if !started || capacity == 0 {
 		return false
 	}
-	return float64(queued) >= s.opts.DegradeWatermark*float64(capacity)
+	return float64(queued) >= degradeWatermark*float64(capacity)
 }
 
 // storeReadOnly reports whether the backing store has latched its sticky

@@ -11,6 +11,7 @@ import (
 	"hdc/internal/body"
 	"hdc/internal/failpoint"
 	"hdc/internal/pipeline"
+	"hdc/internal/raster"
 	"hdc/internal/sax"
 	"hdc/internal/sax/store"
 	"hdc/internal/server"
@@ -145,43 +146,82 @@ func TestReadOnlyStoreDegrades(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl pins the 429 path: a batch over the in-flight cap is
-// refused with Retry-After, a batch under it is served.
+// TestAdmissionControl pins the preamble the frame endpoints share: a
+// request over the in-flight cap is refused with 429 and Retry-After: 1, a
+// malformed X-Deadline-Ms answers 400, a request under the cap is served in
+// order, and every frame decoded on any of those paths returns to the frame
+// pool.
 func TestAdmissionControl(t *testing.T) {
-	sys, _, hs := testService(t,
-		server.Options{MaxInflightFrames: 2}, pipeline.Config{Workers: 1})
-	signs := signPattern(0, 4)
-	frames := signFrames(t, sys, signs)
+	for _, tc := range []struct {
+		name string
+		path func(t *testing.T, c *client.Client) string
+	}{
+		{"batch", func(*testing.T, *client.Client) string { return "/v1/batch" }},
+		{"graph_recognize", func(*testing.T, *client.Client) string { return "/v1/graph/recognize" }},
+		{"stream_frames", func(t *testing.T, c *client.Client) string {
+			st, err := c.OpenStream(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return "/v1/streams/" + st.ID + "/frames"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, _, hs := testService(t,
+				server.Options{MaxInflightFrames: 2}, pipeline.Config{Workers: 1})
+			signs := signPattern(0, 4)
+			frames := signFrames(t, sys, signs)
+			c := client.New(hs.URL, nil)
+			path := tc.path(t, c)
+			post := func(frames []*raster.Gray, deadline string) (*http.Response, []server.FrameResult) {
+				t.Helper()
+				req, err := c.Post(context.Background(), path, frames)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if deadline != "" {
+					req.Header.Set(server.DeadlineHeader, deadline)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var out struct {
+					Results []server.FrameResult `json:"results"`
+				}
+				if resp.StatusCode == http.StatusOK {
+					if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return resp, out.Results
+			}
 
-	c := client.New(hs.URL, nil)
-	req, err := c.Post(context.Background(), "/v1/batch", frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-cap batch: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
+			resp, _ := post(frames, "")
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+				t.Fatalf("over-cap request: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			for _, bad := range []string{"banana", "0", "-5"} {
+				if resp, _ := post(frames[:2], bad); resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%s %q: %d, want 400", server.DeadlineHeader, bad, resp.StatusCode)
+				}
+			}
+			resp, results := post(frames[:2], "10000")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("under-cap request: %d", resp.StatusCode)
+			}
+			checkOrdered(t, "under-cap", signs[:2], results)
 
-	results, err := c.RecognizeBatch(context.Background(), frames[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOrdered(t, "under-cap", signs[:2], results)
-
-	stats, err := c.Statsz(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Admission.Rejected == 0 || stats.Admission.InflightFrames != 0 {
-		t.Fatalf("admission snapshot: %+v", stats.Admission)
+			stats, err := c.Statsz(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Admission.Rejected != 1 || stats.Admission.InflightFrames != 0 {
+				t.Fatalf("admission snapshot: %+v", stats.Admission)
+			}
+			framePoolBalanced(t, c)
+		})
 	}
 }
 

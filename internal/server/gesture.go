@@ -52,13 +52,7 @@ func gestureMatchToWire(m gesture.Match, err error) GestureResult {
 	if m.Gesture.Valid() {
 		out.Gesture = m.Gesture.String()
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, gesture.ErrNoGesture):
-		out.Err = ErrValueNoGesture
-	default:
-		out.Err = err.Error()
-	}
+	out.Err = errValue(err)
 	return out
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -148,17 +147,11 @@ func (s *Server) runGraphValues(w http.ResponseWriter, r *http.Request, name str
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: %s batch of %d exceeds limit %d", name, len(vals), s.opts.MaxBatch))
 		return nil, false
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	ctx, done, ok := s.admitWork(w, r, len(vals))
+	if !ok {
 		return nil, false
 	}
-	defer cancel()
-	if !s.admit(len(vals)) {
-		writeOverloaded(w)
-		return nil, false
-	}
-	defer s.unadmit(len(vals))
+	defer done()
 	g, err := s.getGraph(name)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -176,20 +169,6 @@ func (s *Server) runGraphValues(w http.ResponseWriter, r *http.Request, name str
 	return out, true
 }
 
-// graphErrValue maps a graph slot error to its wire string.
-func graphErrValue(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return ErrValueDeadline
-	case errors.Is(err, graph.ErrClosed):
-		return ErrValueDraining
-	default:
-		return err.Error()
-	}
-}
-
 // handleGraphRecognize answers POST /v1/graph/recognize: a frame batch in
 // any of the wire encodings through the recognition graph — the same
 // verdicts as /v1/batch, served by the graph runtime.
@@ -198,26 +177,12 @@ func (s *Server) handleGraphRecognize(w http.ResponseWriter, r *http.Request) (i
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return 0, true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	frames, err := decodeFrames(r, &s.framePool, s.opts.MaxBatch, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	frames, ctx, done, ok := s.admitFrames(w, r, s.opts.MaxBatch, false)
+	if !ok {
 		return 0, true
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		releaseFrames(&s.framePool, frames)
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	defer cancel()
+	defer done()
 	n := len(frames)
-	if !s.admit(n) {
-		releaseFrames(&s.framePool, frames)
-		writeOverloaded(w)
-		return 0, true
-	}
-	defer s.unadmit(n)
 	g, err := s.getGraph("recognize")
 	if err != nil {
 		releaseFrames(&s.framePool, frames)
@@ -237,13 +202,10 @@ func (s *Server) handleGraphRecognize(w http.ResponseWriter, r *http.Request) (i
 	}
 	results := make([]FrameResult, n)
 	for i, o := range out {
+		// A message that never reached the classify node (abandoned or
+		// refused) carries no Result, only the error.
 		res, _ := o.Value.(recognizer.Result)
 		results[i] = resultToWire(res, o.Err)
-		if o.Err != nil && o.Value == nil {
-			// The message never reached the classify node (abandoned or
-			// refused): no diagnostic Result exists, only the error.
-			results[i] = FrameResult{Err: graphErrValue(o.Err)}
-		}
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Results: results})
 	return n, false
@@ -259,25 +221,11 @@ func (s *Server) handleGraphGesture(w http.ResponseWriter, r *http.Request) (int
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return 0, true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	frames, err := decodeFrames(r, &s.framePool, s.opts.MaxBatch, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	frames, ctx, done, ok := s.admitFrames(w, r, s.opts.MaxBatch, false)
+	if !ok {
 		return 0, true
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		releaseFrames(&s.framePool, frames)
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	defer cancel()
-	if !s.admit(len(frames)) {
-		releaseFrames(&s.framePool, frames)
-		writeOverloaded(w)
-		return 0, true
-	}
-	defer s.unadmit(len(frames))
+	defer done()
 	g, err := s.getGraph("gesture")
 	if err != nil {
 		releaseFrames(&s.framePool, frames)
@@ -359,7 +307,7 @@ func (s *Server) handleGraphLedring(w http.ResponseWriter, r *http.Request) (int
 			}
 			continue
 		}
-		results[i] = LedringResult{Err: graphErrValue(o.Err)}
+		results[i] = LedringResult{Err: errValue(o.Err)}
 		failed = true
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -420,7 +368,7 @@ func (s *Server) handleGraphIMU(w http.ResponseWriter, r *http.Request) (int, bo
 			results[i] = IMUResult{State: rd.FinalLabel, Transitions: rd.Transitions, Samples: rd.Samples}
 			continue
 		}
-		results[i] = IMUResult{Err: graphErrValue(o.Err)}
+		results[i] = IMUResult{Err: errValue(o.Err)}
 		failed = true
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -477,7 +425,7 @@ func (s *Server) handleGraphFlight(w http.ResponseWriter, r *http.Request) (int,
 			results[i] = FlightResult{Pattern: rd.Label}
 			continue
 		}
-		results[i] = FlightResult{Err: graphErrValue(o.Err)}
+		results[i] = FlightResult{Err: errValue(o.Err)}
 		failed = true
 	}
 	writeJSON(w, http.StatusOK, struct {

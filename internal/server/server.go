@@ -86,12 +86,6 @@ type Options struct {
 	// it answers 429 with Retry-After so overload sheds at the door instead
 	// of queueing unboundedly.
 	MaxInflightFrames int
-	// DegradeWatermark is the pool-queue occupancy fraction (default 0.75)
-	// past which /v1/recognize and /v1/batch answer from the cascade's
-	// cheap stage-0 path, marked degraded:true, instead of joining the
-	// backlog. ≥1 never triggers on queue depth (a read-only store still
-	// degrades).
-	DegradeWatermark float64
 	// DebugFailpoints mounts /failpointz (list/arm/disarm fault-injection
 	// points). Debug builds and chaos drills only — never production.
 	DebugFailpoints bool
@@ -111,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInflightFrames <= 0 {
 		o.MaxInflightFrames = 1024
-	}
-	if o.DegradeWatermark <= 0 {
-		o.DegradeWatermark = 0.75
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -252,34 +243,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int, bool)
 	return s.recognizeFrames(w, r, s.opts.MaxBatch, false)
 }
 
-// recognizeFrames is the shared body of /v1/recognize and /v1/batch: decode,
-// admission, deadline, then either the full pool path or — under overload or
-// a read-only store — the degraded stage-0 path on the request goroutine.
+// recognizeFrames is the shared body of /v1/recognize and /v1/batch: the
+// frame preamble, then either the full pool path or — under overload or a
+// read-only store — the degraded stage-0 path on the request goroutine.
 func (s *Server) recognizeFrames(w http.ResponseWriter, r *http.Request, maxBatch int, single bool) (int, bool) {
 	if !s.acceptingWork() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return 0, true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	frames, err := decodeFrames(r, &s.framePool, maxBatch, single)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	frames, ctx, done, ok := s.admitFrames(w, r, maxBatch, single)
+	if !ok {
 		return 0, true
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		releaseFrames(&s.framePool, frames)
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	defer cancel()
+	defer done()
 	n := len(frames)
-	if !s.admit(n) {
-		releaseFrames(&s.framePool, frames)
-		writeOverloaded(w)
-		return 0, true
-	}
-	defer s.unadmit(n)
 
 	var results []FrameResult
 	if s.shouldDegrade() {
@@ -292,10 +269,7 @@ func (s *Server) recognizeFrames(w http.ResponseWriter, r *http.Request, maxBatc
 			writeError(w, http.StatusServiceUnavailable, errDraining)
 			return n, true
 		}
-		results = make([]FrameResult, n)
-		for i := range results {
-			results[i] = resultToWire(res[i], errs[i])
-		}
+		results = batchToWire(res, errs)
 	}
 	if single {
 		writeJSON(w, http.StatusOK, results[0])
@@ -321,9 +295,6 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	// Results dropped on the abandon path (a reaped session) carry pooled
-	// frames; recycle them instead of leaking a window per reap.
-	st.SetDropHook(s.framePool.Put)
 	stats, _ := s.sys.PoolStats()
 	sess := s.sessions.add(st, stats.StreamWindow)
 	writeJSON(w, http.StatusCreated, streamInfo{ID: sess.id, Window: sess.window})
@@ -385,25 +356,11 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) (int
 		writeError(w, http.StatusNotFound, errors.New("server: unknown stream"))
 		return 0, true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	frames, err := decodeFrames(r, &s.framePool, s.opts.MaxBatch, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	frames, ctx, done, ok := s.admitFrames(w, r, s.opts.MaxBatch, false)
+	if !ok {
 		return 0, true
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		releaseFrames(&s.framePool, frames)
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	defer cancel()
-	if !s.admit(len(frames)) {
-		releaseFrames(&s.framePool, frames)
-		writeOverloaded(w)
-		return 0, true
-	}
-	defer s.unadmit(len(frames))
+	defer done()
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -415,83 +372,19 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) (int
 	sess.touch(s.opts.now())
 	defer func() { sess.touch(s.opts.now()) }()
 
-	// Submit and collect concurrently, like pipeline.RecognizeBatch: a batch
-	// larger than the stream window would otherwise deadlock against the
-	// back-pressure it is supposed to exercise. claimed counts the frames
-	// whose results WILL be delivered: a Submit that failed after claiming
-	// its sequence number (pool closed under us) still delivers an error
-	// result, a Submit refused outright does not.
-	claimedCh := make(chan int, 1)
-	go func() {
-		claimed := 0
-		for _, f := range frames {
-			ok, err := sess.st.SubmitContext(ctx, f)
-			if ok {
-				claimed++
-			}
-			if err != nil {
-				break
-			}
-		}
-		claimedCh <- claimed
-	}()
-
-	out := batchResponse{Results: make([]FrameResult, len(frames))}
-	results := sess.st.Results()
-	collected := 0
-	claimed := -1
-	expired := false
-	pending := claimedCh
-collect:
-	for claimed < 0 || collected < claimed {
-		select {
-		case res, ok := <-results:
-			if !ok {
-				// The channel closes only after every claimed result has
-				// been delivered (and we have consumed the buffer), so the
-				// pool shut down under us and collected == claimed.
-				break collect
-			}
-			out.Results[collected] = resultToWire(res.Res, res.Err)
-			s.framePool.Put(res.Frame)
-			collected++
-		case c := <-pending:
-			claimed = c
-			pending = nil // the goroutine sends exactly once
-		case <-ctx.Done():
-			// Deadline mid-collect: sacrifice the session. Abandon routes the
-			// claimed-but-undelivered frames to the drop hook (which recycles
-			// them) and unblocks the submit goroutine's window waits.
-			expired = true
-			sess.closed = true
-			sess.st.Abandon()
-			s.sessions.remove(sess.id)
-			break collect
-		}
-	}
-	if claimed < 0 {
-		claimed = <-claimedCh
-	}
-	// Frames past claimed never entered the stream; answer them and recycle
-	// their buffers ourselves. Claimed-but-undelivered frames (possible only
-	// if the stream was abandoned under us) belong to the stream's drop hook
-	// — recycling them here too would double-free.
-	tailErr := ErrValueDraining
-	if expired {
-		tailErr = ErrValueDeadline
-	}
-	for i := collected; i < len(frames); i++ {
-		out.Results[i] = FrameResult{Err: tailErr}
-		if i >= claimed {
-			s.framePool.Put(frames[i])
-		}
+	res, errs, claimed, err := sess.st.Batch(ctx, frames, s.framePool.Put)
+	if err != nil {
+		// Batch abandoned the stream on the expired deadline: sacrifice the
+		// session.
+		sess.closed = true
+		s.sessions.remove(sess.id)
 	}
 	sess.submitted.Add(uint64(claimed))
 	// Partial results are still results: the response is 200 with the
 	// undeliverable tail marked, so an operator mid-stream can tell exactly
 	// which frames made it.
-	writeJSON(w, http.StatusOK, out)
-	return len(frames), collected < len(frames)
+	writeJSON(w, http.StatusOK, batchResponse{Results: batchToWire(res, errs)})
+	return len(frames), err != nil || claimed < len(frames)
 }
 
 // handleHealthz answers GET /healthz.

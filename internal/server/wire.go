@@ -14,6 +14,8 @@ import (
 	"strconv"
 
 	"hdc/internal/failpoint"
+	"hdc/internal/gesture"
+	"hdc/internal/graph"
 	"hdc/internal/pipeline"
 	"hdc/internal/raster"
 	"hdc/internal/recognizer"
@@ -135,18 +137,38 @@ func resultToWire(res recognizer.Result, err error) FrameResult {
 		out.RunnerUp = res.RunnerUp.Label
 		out.RunnerUpDist = finite(res.RunnerUp.Dist)
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, recognizer.ErrNoSign):
-		out.Err = ErrValueNoSign
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		out.Err = ErrValueDeadline
-	case errors.Is(err, pipeline.ErrClosed), errors.Is(err, pipeline.ErrStreamClosed):
-		out.Err = ErrValueDraining
-	default:
-		out.Err = err.Error()
+	out.Err = errValue(err)
+	return out
+}
+
+// batchToWire converts a batch's verdicts, slot by slot.
+func batchToWire(res []recognizer.Result, errs []error) []FrameResult {
+	out := make([]FrameResult, len(res))
+	for i := range out {
+		out[i] = resultToWire(res[i], errs[i])
 	}
 	return out
+}
+
+// errValue maps a per-item error to its wire string, the one mapping every
+// endpoint answers with: the reserved values for a rejected frame or
+// window, an expired X-Deadline-Ms budget ("deadline") and an executor shut
+// down under the request ("draining"), the error text otherwise.
+func errValue(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, recognizer.ErrNoSign):
+		return ErrValueNoSign
+	case errors.Is(err, gesture.ErrNoGesture):
+		return ErrValueNoGesture
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return ErrValueDeadline
+	case errors.Is(err, pipeline.ErrClosed), errors.Is(err, pipeline.ErrStreamClosed), errors.Is(err, graph.ErrClosed):
+		return ErrValueDraining
+	default:
+		return err.Error()
+	}
 }
 
 // Wire decode limits; see Options for the configurable batch bound.

@@ -153,17 +153,6 @@ func (c Contour) Signature(n int) (timeseries.Series, error) {
 	return c.SignatureNorm(n, NormNone)
 }
 
-// SignatureAspectNormalized is Signature under NormAspect.
-func (c Contour) SignatureAspectNormalized(n int) (timeseries.Series, error) {
-	return c.SignatureNorm(n, NormAspect)
-}
-
-// SignatureWhitened is Signature under NormWhiten — the production setting
-// of the recogniser.
-func (c Contour) SignatureWhitened(n int) (timeseries.Series, error) {
-	return c.SignatureNorm(n, NormWhiten)
-}
-
 // SignatureNorm computes the signature under an explicit normalisation mode.
 func (c Contour) SignatureNorm(n int, mode Normalization) (timeseries.Series, error) {
 	return c.signatureScratch(n, mode, nil)
