@@ -244,9 +244,12 @@ func (e *edge) stats() EdgeStats {
 	e.mu.Lock()
 	depth := e.n
 	e.mu.Unlock()
+	// Every shed message arrived first, so loading shed before arrived
+	// keeps Shed <= Arrived in every snapshot.
+	shed := e.shed.Load()
 	s := EdgeStats{
 		From: e.from, To: e.to, Cap: e.cap, Policy: e.pol.String(),
-		Arrived: e.arrived.Load(), Shed: e.shed.Load(), Depth: depth,
+		Arrived: e.arrived.Load(), Shed: shed, Depth: depth,
 	}
 	if e.pol == Stride {
 		s.K = e.k

@@ -467,6 +467,56 @@ func TestAbandonDiscardsQueued(t *testing.T) {
 	}
 }
 
+// TestEdgeStatsShedNeverExceedsArrived snapshots Stats while several
+// goroutines push into a cap-1 DropOldest edge whose node is stalled, so
+// nearly every push evicts: no snapshot may show an edge with more shed
+// than arrived messages.
+func TestEdgeStatsShedNeverExceedsArrived(t *testing.T) {
+	p := newPool(t)
+	gate := make(chan struct{})
+	g, err := graph.Build(graph.Spec{
+		Nodes: []graph.NodeSpec{{Name: "stalled", Proc: func(_ *recognizer.Scratch, _ *graph.Msg) error {
+			<-gate
+			return nil
+		}}},
+		Ingest: graph.EdgeSpec{Cap: 1, Policy: graph.DropOldest},
+	}, p, graph.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	defer close(gate)
+
+	const pushers, pushes = 4, 50000
+	var wg sync.WaitGroup
+	for i := 0; i < pushers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < pushes; j++ {
+				if err := g.Submit(nil, nil, nil); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snapshots := 0; ; snapshots++ {
+		for _, e := range g.Stats().Edges {
+			if e.Shed > e.Arrived {
+				t.Fatalf("snapshot %d: edge %q→%q shed %d of %d arrived", snapshots, e.From, e.To, e.Shed, e.Arrived)
+			}
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
 // TestPolicyStrings pins the wire names /statsz reports.
 func TestPolicyStrings(t *testing.T) {
 	for pol, want := range map[graph.Policy]string{

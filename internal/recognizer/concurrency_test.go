@@ -66,39 +66,3 @@ func TestParallelRecognizeConsistent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestRecognizeIntoBatch checks the batch API agrees with the single-frame
-// path and enforces the dst length contract.
-func TestRecognizeIntoBatch(t *testing.T) {
-	rec, rend := newCalibrated(t)
-
-	signs := body.AllSigns()
-	frames := make([]*raster.Gray, 0, len(signs))
-	for _, s := range signs {
-		f, err := rend.Render(s, scene.ReferenceView(), body.Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-
-	dst := make([]Result, len(frames))
-	errs := rec.RecognizeInto(NewScratch(), frames, dst)
-	for i, f := range frames {
-		want, werr := rec.Recognize(f)
-		if (werr == nil) != (errs[i] == nil) {
-			t.Fatalf("frame %d: err %v, want %v", i, errs[i], werr)
-		}
-		if dst[i].OK != want.OK || dst[i].Sign != want.Sign {
-			t.Fatalf("frame %d: got (%v %v), want (%v %v)",
-				i, dst[i].OK, dst[i].Sign, want.OK, want.Sign)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short dst should panic")
-		}
-	}()
-	rec.RecognizeInto(nil, frames, make([]Result, 0))
-}

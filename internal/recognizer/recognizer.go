@@ -108,7 +108,7 @@ type Result struct {
 // AddReference for custom exemplars).
 //
 // Concurrency: the configuration is immutable after New, and the reference
-// database guards itself, so Recognize/RecognizeWith/RecognizeInto may be
+// database guards itself, so Recognize and RecognizeWith may be
 // called from any number of goroutines once the references are built. The
 // setup calls — BuildReferences, AddReference, LoadReferences — must complete
 // before (or be externally serialised with) concurrent recognition.
@@ -299,24 +299,6 @@ func (r *Recognizer) RecognizeWith(sc *Scratch, frame *raster.Gray) (Result, err
 		return r.Recognize(frame)
 	}
 	return r.recognize(sc, frame)
-}
-
-// RecognizeInto is the batch API: it recognises frames[i] into dst[i],
-// reusing sc across the batch, and returns one error per frame (nil on an
-// accepted sign, ErrNoSign or a vision error otherwise — matching what
-// Recognize would have returned). dst must be at least as long as frames.
-func (r *Recognizer) RecognizeInto(sc *Scratch, frames []*raster.Gray, dst []Result) []error {
-	if len(dst) < len(frames) {
-		panic("recognizer: RecognizeInto dst shorter than frames")
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	errs := make([]error, len(frames))
-	for i, f := range frames {
-		dst[i], errs[i] = r.recognize(sc, f)
-	}
-	return errs
 }
 
 // frontHalf runs the vision and encoding stages shared by the full and

@@ -353,6 +353,63 @@ func TestStreamDeadlineSacrificesSession(t *testing.T) {
 	_ = sys
 }
 
+// TestDeadlineTailCountsAsError pins one /statsz rule across the frame
+// endpoints: a 200 whose tail answered "deadline" counts as one request
+// and one error, on /v1/batch exactly as on /v1/streams/{id}/frames.
+func TestDeadlineTailCountsAsError(t *testing.T) {
+	for _, tc := range []struct {
+		endpoint string
+		path     func(t *testing.T, c *client.Client) string
+	}{
+		{"batch", func(*testing.T, *client.Client) string { return "/v1/batch" }},
+		{"stream_frames", func(t *testing.T, c *client.Client) string {
+			st, err := c.OpenStream(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return "/v1/streams/" + st.ID + "/frames"
+		}},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			defer failpoint.DisableAll()
+			sys, _, hs := testService(t, server.Options{}, pipeline.Config{Workers: 1, QueueDepth: 1, StreamWindow: 2})
+			frames := signFrames(t, sys, signPattern(0, 6))
+			c := client.New(hs.URL, nil)
+			path := tc.path(t, c)
+			if err := failpoint.Enable(failpoint.PipelineWorker, "delay(100ms)"); err != nil {
+				t.Fatal(err)
+			}
+			req, err := c.Post(context.Background(), path, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(server.DeadlineHeader, "60")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out struct {
+				Results []server.FrameResult `json:"results"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || out.Results[len(out.Results)-1].Err != server.ErrValueDeadline {
+				t.Fatalf("%s: %d, tail not deadline: %+v", path, resp.StatusCode, out.Results)
+			}
+			failpoint.DisableAll()
+			stats, err := c.Statsz(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ep := stats.Endpoints[tc.endpoint]; ep.Count != 1 || ep.Errors != 1 {
+				t.Fatalf("statsz %s: %+v, want 1 request and 1 error", tc.endpoint, ep)
+			}
+		})
+	}
+}
+
 // TestFailpointzEndpoint pins the debug endpoint: absent by default, and
 // when mounted it arms/disarms points and lists their counters.
 func TestFailpointzEndpoint(t *testing.T) {

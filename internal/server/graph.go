@@ -3,18 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"time"
 
-	"hdc/internal/flight"
-	"hdc/internal/geom"
 	"hdc/internal/gesture"
 	"hdc/internal/graph"
 	"hdc/internal/graph/nodes"
-	"hdc/internal/imu"
-	"hdc/internal/ledring"
 	"hdc/internal/recognizer"
 )
 
@@ -132,41 +127,60 @@ func (s *Server) handleGraphIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, graphIndexResponse{Workloads: names, Graphs: s.graphStats()})
 }
 
-// runGraphValues is the shared body of the value-workload endpoints:
-// admission, deadline, then one Process batch through the named graph.
-func (s *Server) runGraphValues(w http.ResponseWriter, r *http.Request, name string, vals []any) ([]graph.Output, bool) {
+// serveGraphValues is the whole of a value-workload endpoint: the body
+// scanned straight into the graph's inputs, admission and deadline, one
+// Process batch through the named graph, and one result per input, in
+// order. reading maps an output to its wire result and reports whether it
+// carried a reading; a slot without one fails the request in /statsz.
+func serveGraphValues[T, R any](s *Server, w http.ResponseWriter, r *http.Request, name string, scan func(*wireScanner) ([]T, bool), reading func(graph.Output) (R, bool)) (int, bool) {
+	vals, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scan)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return 0, true
+	}
+	n := len(vals)
 	if !s.acceptingWork() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return nil, false
+		return n, true
 	}
-	if len(vals) == 0 {
+	if n == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: empty %s batch", name))
-		return nil, false
+		return n, true
 	}
-	if len(vals) > s.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: %s batch of %d exceeds limit %d", name, len(vals), s.opts.MaxBatch))
-		return nil, false
+	if n > s.opts.MaxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: %s batch of %d exceeds limit %d", name, n, s.opts.MaxBatch))
+		return n, true
 	}
-	ctx, done, ok := s.admitWork(w, r, len(vals))
+	ctx, done, ok := s.admitWork(w, r, n)
 	if !ok {
-		return nil, false
+		return n, true
 	}
 	defer done()
 	g, err := s.getGraph(name)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
-		return nil, false
+		return n, true
 	}
-	in := make([]graph.Input, len(vals))
+	in := make([]graph.Input, n)
 	for i, v := range vals {
 		in[i] = graph.Input{Value: v}
 	}
 	out, err := g.Process(ctx, in)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
-		return nil, false
+		return n, true
 	}
-	return out, true
+	results := make([]R, n)
+	failed := false
+	for i, o := range out {
+		var ok bool
+		results[i], ok = reading(o)
+		failed = failed || !ok
+	}
+	writeJSON(w, http.StatusOK, struct {
+		Results []R `json:"results"`
+	}{results})
+	return n, failed
 }
 
 // handleGraphRecognize answers POST /v1/graph/recognize: a frame batch in
@@ -208,7 +222,7 @@ func (s *Server) handleGraphRecognize(w http.ResponseWriter, r *http.Request) (i
 		results[i] = resultToWire(res, o.Err)
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Results: results})
-	return n, false
+	return n, interrupted(results)
 }
 
 // handleGraphGesture answers POST /v1/gesture and POST /v1/graph/gesture:
@@ -245,18 +259,6 @@ func (s *Server) handleGraphGesture(w http.ResponseWriter, r *http.Request) (int
 	return len(frames), failed
 }
 
-// ledringRing is one LED-ring observation on the wire: successive
-// whole-ring frames, each LED a Color ordinal (0 off, 1 red, 2 green,
-// 3 white).
-type ledringRing struct {
-	Frames [][]int `json:"frames"`
-}
-
-// graphLedringRequest is the JSON body of POST /v1/graph/ledring.
-type graphLedringRequest struct {
-	Rings []ledringRing `json:"rings"`
-}
-
 // LedringResult is one decoded ring on the wire. Field errors are per
 // channel — a danger ring legitimately has no heading boundary.
 type LedringResult struct {
@@ -272,61 +274,23 @@ type LedringResult struct {
 
 // handleGraphLedring answers POST /v1/graph/ledring.
 func (s *Server) handleGraphLedring(w http.ResponseWriter, r *http.Request) (int, bool) {
-	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanLedring)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	vals := make([]any, len(req.Rings))
-	for i, ring := range req.Rings {
-		frames := make([][]ledring.Color, len(ring.Frames))
-		for j, f := range ring.Frames {
-			leds := make([]ledring.Color, len(f))
-			for k, c := range f {
-				leds[k] = ledring.Color(c)
-			}
-			frames[j] = leds
-		}
-		vals[i] = nodes.LedringInput{Frames: frames}
-	}
-	out, ok := s.runGraphValues(w, r, "ledring", vals)
-	if !ok {
-		return len(vals), true
-	}
-	results := make([]LedringResult, len(out))
-	failed := false
-	for i, o := range out {
-		if rd, k := o.Value.(*nodes.LedringReading); k && o.Err == nil {
-			results[i] = LedringResult{
-				HeadingDeg:  rd.Heading.Deg(),
-				HeadingErr:  rd.HeadingErr,
-				QuantErrDeg: rd.QuantErrDeg,
-				Danger:      rd.Danger,
-				Pulse:       rd.Pulse.String(),
-				PulseErr:    rd.PulseErr,
-			}
-			continue
-		}
-		results[i] = LedringResult{Err: errValue(o.Err)}
-		failed = true
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []LedringResult `json:"results"`
-	}{results})
-	return len(vals), failed
+	return serveGraphValues(s, w, r, "ledring", scanLedring, ledringResult)
 }
 
-// imuSample is one IMU sample on the wire.
-type imuSample struct {
-	TS       float64    `json:"t_s"`
-	Accel    [3]float64 `json:"accel"`
-	GyroZ    float64    `json:"gyro_z"`
-	BaroAltM float64    `json:"baro_alt_m"`
-}
-
-// graphIMURequest is the JSON body of POST /v1/graph/imu.
-type graphIMURequest struct {
-	Windows [][]imuSample `json:"windows"`
+// ledringResult maps one ledring graph output to its wire result.
+func ledringResult(o graph.Output) (LedringResult, bool) {
+	rd, ok := o.Value.(*nodes.LedringReading)
+	if !ok || o.Err != nil {
+		return LedringResult{Err: errValue(o.Err)}, false
+	}
+	return LedringResult{
+		HeadingDeg:  rd.Heading.Deg(),
+		HeadingErr:  rd.HeadingErr,
+		QuantErrDeg: rd.QuantErrDeg,
+		Danger:      rd.Danger,
+		Pulse:       rd.Pulse.String(),
+		PulseErr:    rd.PulseErr,
+	}, true
 }
 
 // IMUResult is one window's motion reading on the wire.
@@ -339,54 +303,16 @@ type IMUResult struct {
 
 // handleGraphIMU answers POST /v1/graph/imu.
 func (s *Server) handleGraphIMU(w http.ResponseWriter, r *http.Request) (int, bool) {
-	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanIMU)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
-	}
-	vals := make([]any, len(req.Windows))
-	for i, win := range req.Windows {
-		samples := make(nodes.IMUWindow, len(win))
-		for j, sm := range win {
-			samples[j] = imu.Sample{
-				T:        secondsToDuration(sm.TS),
-				Accel:    geom.V3(sm.Accel[0], sm.Accel[1], sm.Accel[2]),
-				GyroZ:    sm.GyroZ,
-				BaroAltM: sm.BaroAltM,
-			}
-		}
-		vals[i] = samples
-	}
-	out, ok := s.runGraphValues(w, r, "imu", vals)
-	if !ok {
-		return len(vals), true
-	}
-	results := make([]IMUResult, len(out))
-	failed := false
-	for i, o := range out {
-		if rd, k := o.Value.(nodes.IMUReading); k && o.Err == nil {
-			results[i] = IMUResult{State: rd.FinalLabel, Transitions: rd.Transitions, Samples: rd.Samples}
-			continue
-		}
-		results[i] = IMUResult{Err: errValue(o.Err)}
-		failed = true
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []IMUResult `json:"results"`
-	}{results})
-	return len(vals), failed
+	return serveGraphValues(s, w, r, "imu", scanIMU, imuResult)
 }
 
-// flightSample is one trajectory sample on the wire.
-type flightSample struct {
-	TS         float64    `json:"t_s"`
-	Pos        [3]float64 `json:"pos"`
-	HeadingDeg float64    `json:"heading_deg"`
-}
-
-// graphFlightRequest is the JSON body of POST /v1/graph/flight.
-type graphFlightRequest struct {
-	Trajectories [][]flightSample `json:"trajectories"`
+// imuResult maps one imu graph output to its wire result.
+func imuResult(o graph.Output) (IMUResult, bool) {
+	rd, ok := o.Value.(nodes.IMUReading)
+	if !ok || o.Err != nil {
+		return IMUResult{Err: errValue(o.Err)}, false
+	}
+	return IMUResult{State: rd.FinalLabel, Transitions: rd.Transitions, Samples: rd.Samples}, true
 }
 
 // FlightResult is one trajectory's classified pattern on the wire.
@@ -397,41 +323,16 @@ type FlightResult struct {
 
 // handleGraphFlight answers POST /v1/graph/flight.
 func (s *Server) handleGraphFlight(w http.ResponseWriter, r *http.Request) (int, bool) {
-	req, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scanFlight)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, true
+	return serveGraphValues(s, w, r, "flight", scanFlight, flightResult)
+}
+
+// flightResult maps one flight graph output to its wire result.
+func flightResult(o graph.Output) (FlightResult, bool) {
+	rd, ok := o.Value.(nodes.FlightReading)
+	if !ok || o.Err != nil {
+		return FlightResult{Err: errValue(o.Err)}, false
 	}
-	vals := make([]any, len(req.Trajectories))
-	for i, tr := range req.Trajectories {
-		samples := make(flight.Trajectory, len(tr))
-		for j, sm := range tr {
-			samples[j] = flight.Sample{
-				T:       sm.TS,
-				Pos:     geom.V3(sm.Pos[0], sm.Pos[1], sm.Pos[2]),
-				Heading: geom.NewHeading(sm.HeadingDeg * math.Pi / 180),
-			}
-		}
-		vals[i] = samples
-	}
-	out, ok := s.runGraphValues(w, r, "flight", vals)
-	if !ok {
-		return len(vals), true
-	}
-	results := make([]FlightResult, len(out))
-	failed := false
-	for i, o := range out {
-		if rd, k := o.Value.(nodes.FlightReading); k && o.Err == nil {
-			results[i] = FlightResult{Pattern: rd.Label}
-			continue
-		}
-		results[i] = FlightResult{Err: errValue(o.Err)}
-		failed = true
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []FlightResult `json:"results"`
-	}{results})
-	return len(vals), failed
+	return FlightResult{Pattern: rd.Label}, true
 }
 
 // secondsToDuration converts a wire t_s to the IMU sample clock.

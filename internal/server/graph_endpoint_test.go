@@ -263,13 +263,13 @@ func TestGraphIndexAndStatsz(t *testing.T) {
 	}
 }
 
-// TestGraphBodyTrailingBytes pins the value endpoints' trailing-bytes
-// contract: anything but whitespace after the request's JSON value — a
-// second value or garbage — answers 400, on canonical bodies and on bodies
-// only encoding/json decodes alike, while a whitespace tail is accepted.
+// TestGraphBodyTrailingBytes pins the value endpoints' body contract: a
+// canonical body is accepted with a whitespace tail, and anything else
+// after the request's JSON value — a second value or garbage — answers 400;
+// a case-folded key ("RINGS", "T_S", "POS") answers 400 whatever follows.
 func TestGraphBodyTrailingBytes(t *testing.T) {
 	_, _, hs := testService(t, server.Options{}, pipeline.Config{Workers: 2})
-	bodies := map[string][]string{
+	bodies := map[string][2]string{ // canonical, case-folded
 		"ledring": {`{"rings":[{"frames":[[0,1,2,3]]}]}`, `{"RINGS":[{"frames":[[0,1,2,3]]}]}`},
 		"imu":     {`{"windows":[[{"t_s":0,"accel":[0,0,9.81]},{"t_s":0.1,"accel":[0,0,9.81]}]]}`, `{"windows":[[{"T_S":0,"accel":[0,0,9.81]}]]}`},
 		"flight":  {`{"trajectories":[[{"t_s":0,"pos":[1,2,3]}]]}`, `{"trajectories":[[{"t_s":0,"POS":[1,2,3]}]]}`},
@@ -284,10 +284,14 @@ func TestGraphBodyTrailingBytes(t *testing.T) {
 		return resp.StatusCode
 	}
 	for path, bs := range bodies {
-		for _, b := range bs {
+		for k, b := range bs {
+			want := http.StatusOK // canonical
+			if k == 1 {
+				want = http.StatusBadRequest // case-folded
+			}
 			for _, tail := range []string{"", " \n\t\r "} {
-				if code := post(path, b+tail); code != http.StatusOK {
-					t.Errorf("%s %q: %d, want 200", path, b+tail, code)
+				if code := post(path, b+tail); code != want {
+					t.Errorf("%s %q: %d, want %d", path, b+tail, code, want)
 				}
 			}
 			for _, tail := range []string{" trailing garbage", b, "{}", "x", "\x00", " ]"} {

@@ -2,28 +2,31 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"unsafe"
+
+	"hdc/internal/flight"
+	"hdc/internal/geom"
+	"hdc/internal/graph/nodes"
+	"hdc/internal/imu"
+	"hdc/internal/ledring"
 )
 
 // graphwire.go decodes the JSON bodies of the value graph endpoints
-// (/v1/graph/ledring, /imu and /flight) without reflection. A byte scanner
-// walks the three fixed request schemas and accepts only their canonical
-// shape: exact keys without escapes, each at most once per object; numbers
-// in the JSON grammar, parsed with the same strconv calls encoding/json
-// makes; accel and pos vectors of exactly three elements; nothing but
-// whitespace after the value. It declines everything else — null, unknown,
-// repeated or case-folded keys, out-of-range numbers, short or long
-// vectors, trailing bytes — and hands the body to encoding/json, so every
-// accept, reject and error string is encoding/json's: a json.Decoder's for
-// the value, and json.Unmarshal's ("invalid character 'x' after top-level
-// value") for anything but whitespace after it. FuzzGraphDecode holds the
-// two paths to that.
+// (/v1/graph/ledring, /imu and /flight) straight into the graphs' inputs,
+// without reflection. A byte scanner walks the three fixed request schemas
+// and accepts only their canonical shape: exact keys without escapes, each
+// at most once per object; numbers in the JSON grammar, parsed with the
+// same strconv calls encoding/json makes; accel and pos vectors of exactly
+// three elements; nothing but whitespace after the value. Any other body —
+// null, unknown, repeated or case-folded keys, out-of-range numbers, short
+// or long vectors, trailing bytes — answers 400 with "server: malformed
+// request body at byte N", N the scanner's cursor. There is no second
+// decoder. FuzzGraphDecode holds every accepted body to what encoding/json
+// decodes from it, bit for bit.
 
 // maxPooledBytes caps what a pooled decode state keeps between requests:
 // a state grown past it by one large body is left to the collector.
@@ -41,81 +44,33 @@ type wireScanner struct {
 	// Scratch, one per array level: elements are scanned into it and then
 	// copied into an exactly sized result, so results never grow by
 	// doubling. It travels with the body through wirePool.
-	rings   []ledringRing
-	frames  [][]int
-	leds    []int
-	windows [][]imuSample
-	imu     []imuSample
-	trajs   [][]flightSample
-	flight  []flightSample
+	rings   []nodes.LedringInput
+	frames  [][]ledring.Color
+	leds    []ledring.Color
+	windows []nodes.IMUWindow
+	imu     []imu.Sample
+	trajs   []flight.Trajectory
+	flight  []flight.Sample
 }
 
-// decodeGraphBody reads one request body of at most maxBytes and decodes
-// it: with scan when the body has the canonical shape, and otherwise with
-// a json.Decoder (unknown fields disallowed) over the same bytes, after
-// whose value only whitespace may follow. When the read stopped early — the
-// body passed maxBytes, or the transport failed — the decoder reads the
-// bytes already read and then the body reader, which repeats the read's
-// error, so such a body answers exactly as it would decoding the body
-// directly.
-func decodeGraphBody[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, scan func(*wireScanner) (T, bool)) (T, error) {
+// decodeGraphBody reads one request body of at most maxBytes and scans it
+// into the graph inputs. A read that stopped early — the body passed
+// maxBytes, or the transport failed — answers with the read's error; a
+// body outside the canonical shape with the byte the scanner stopped at.
+func decodeGraphBody[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, scan func(*wireScanner) ([]T, bool)) ([]T, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	s := wirePool.Get().(*wireScanner)
 	defer s.release()
 	s.body.Reset()
-	_, err := s.body.ReadFrom(r.Body) // nil at EOF
+	if _, err := s.body.ReadFrom(r.Body); err != nil { // nil at EOF
+		return nil, err
+	}
 	s.b, s.i = s.body.Bytes(), 0
-	if err == nil {
-		if v, ok := scan(s); ok && s.end() {
-			return v, nil
-		}
+	v, ok := scan(s)
+	if !ok || !s.end() {
+		return nil, errors.New("server: malformed request body at byte " + strconv.Itoa(s.i))
 	}
-	src := io.Reader(bytes.NewReader(s.b))
-	if err != nil {
-		src = io.MultiReader(src, r.Body)
-	}
-	dec := json.NewDecoder(src)
-	dec.DisallowUnknownFields()
-	var v T
-	if err := dec.Decode(&v); err != nil {
-		return v, err
-	}
-	return v, onlySpaceLeft(io.MultiReader(dec.Buffered(), src))
-}
-
-// onlySpaceLeft reads r to its end and rejects the first byte that is not
-// JSON whitespace, with the error json.Unmarshal gives it; a read error
-// before such a byte is returned as is.
-func onlySpaceLeft(r io.Reader) error {
-	var buf [512]byte
-	for {
-		n, err := r.Read(buf[:])
-		for _, c := range buf[:n] {
-			switch c {
-			case ' ', '\t', '\r', '\n':
-			default:
-				return errors.New("invalid character " + quoteChar(c) + " after top-level value")
-			}
-		}
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// quoteChar formats c the way encoding/json's syntax errors do.
-func quoteChar(c byte) string {
-	switch c {
-	case '\'':
-		return `'\''`
-	case '"':
-		return `'"'`
-	}
-	q := strconv.Quote(string(c))
-	return "'" + q[1:len(q)-1] + "'"
+	return v, nil
 }
 
 // release returns s to wirePool unless it holds more than maxPooledBytes.
@@ -134,38 +89,42 @@ func scratchBytes[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
-// scanLedring scans a graphLedringRequest body.
-func scanLedring(s *wireScanner) (q graphLedringRequest, ok bool) {
+// scanLedring scans a ledring body, {"rings": [ring, ...]}.
+func scanLedring(s *wireScanner) (rings []nodes.LedringInput, ok bool) {
 	ok = s.object(func(key []byte) (uint, bool) {
 		if string(key) != "rings" {
 			return 0, false
 		}
 		var ok bool
-		q.Rings, ok = scanArray(s, &s.rings, s.ledringRing)
+		rings, ok = scanArray(s, &s.rings, s.ring)
 		return 1, ok
 	})
-	return q, ok
+	return rings, ok
 }
 
-// ledringRing scans one ring observation: {"frames": [[colour, ...], ...]}.
-func (s *wireScanner) ledringRing(r *ledringRing) bool {
+// ring scans one ring observation, {"frames": [[colour, ...], ...]}:
+// successive whole-ring frames, each LED a ledring.Color ordinal (0 off,
+// 1 red, 2 green, 3 white).
+func (s *wireScanner) ring(in *nodes.LedringInput) bool {
 	var ok bool
-	r.Frames, ok = scanNested(s, "frames", &s.frames, &s.leds, s.integer)
+	in.Frames, ok = scanNested(s, "frames", &s.frames, &s.leds, s.color)
 	return ok
 }
 
-// scanIMU scans a graphIMURequest body.
-func scanIMU(s *wireScanner) (graphIMURequest, bool) {
-	w, ok := scanNested(s, "windows", &s.windows, &s.imu, s.imuSample)
-	return graphIMURequest{Windows: w}, ok
+// scanIMU scans an IMU body, {"windows": [[sample, ...], ...]}.
+func scanIMU(s *wireScanner) ([]nodes.IMUWindow, bool) {
+	return scanNested(s, "windows", &s.windows, &s.imu, s.imuSample)
 }
 
 // imuSample scans one IMU sample object.
-func (s *wireScanner) imuSample(sm *imuSample) bool {
+func (s *wireScanner) imuSample(sm *imu.Sample) bool {
 	return s.object(func(key []byte) (uint, bool) {
 		switch string(key) {
 		case "t_s":
-			return 1, s.float(&sm.TS)
+			var ts float64
+			ok := s.float(&ts)
+			sm.T = secondsToDuration(ts)
+			return 1, ok
 		case "accel":
 			return 2, s.vec3(&sm.Accel)
 		case "gyro_z":
@@ -177,22 +136,24 @@ func (s *wireScanner) imuSample(sm *imuSample) bool {
 	})
 }
 
-// scanFlight scans a graphFlightRequest body.
-func scanFlight(s *wireScanner) (graphFlightRequest, bool) {
-	t, ok := scanNested(s, "trajectories", &s.trajs, &s.flight, s.flightSample)
-	return graphFlightRequest{Trajectories: t}, ok
+// scanFlight scans a flight body, {"trajectories": [[sample, ...], ...]}.
+func scanFlight(s *wireScanner) ([]flight.Trajectory, bool) {
+	return scanNested(s, "trajectories", &s.trajs, &s.flight, s.flightSample)
 }
 
 // flightSample scans one trajectory sample object.
-func (s *wireScanner) flightSample(sm *flightSample) bool {
+func (s *wireScanner) flightSample(sm *flight.Sample) bool {
 	return s.object(func(key []byte) (uint, bool) {
 		switch string(key) {
 		case "t_s":
-			return 1, s.float(&sm.TS)
+			return 1, s.float(&sm.T)
 		case "pos":
 			return 2, s.vec3(&sm.Pos)
 		case "heading_deg":
-			return 4, s.float(&sm.HeadingDeg)
+			var deg float64
+			ok := s.float(&deg)
+			sm.Heading = geom.HeadingFromDeg(deg)
+			return 4, ok
 		}
 		return 0, false
 	})
@@ -201,13 +162,13 @@ func (s *wireScanner) flightSample(sm *flightSample) bool {
 // scanNested scans {"<key>": [[elem, ...], ...]}, the shape of an IMU or
 // flight body and of one LED ring, through the scratch of both array
 // levels.
-func scanNested[T any](s *wireScanner, key string, outer *[][]T, inner *[]T, elem func(*T) bool) (out [][]T, ok bool) {
+func scanNested[S ~[]T, T any](s *wireScanner, key string, outer *[]S, inner *[]T, elem func(*T) bool) (out []S, ok bool) {
 	ok = s.object(func(k []byte) (uint, bool) {
 		if string(k) != key {
 			return 0, false
 		}
 		var ok bool
-		out, ok = scanArray(s, outer, func(row *[]T) bool {
+		out, ok = scanArray(s, outer, func(row *S) bool {
 			var ok bool
 			*row, ok = scanArray(s, inner, elem)
 			return ok
@@ -238,7 +199,7 @@ func scanArray[T any](s *wireScanner, tmp *[]T, elem func(*T) bool) ([]T, bool) 
 
 // object scans the JSON object at the cursor. field scans the value of
 // each key and names the key with a distinct bit; an unknown key (field
-// reports false) or a repeated one declines the object.
+// reports false) or a repeated one rejects the object.
 func (s *wireScanner) object(field func(key []byte) (bit uint, ok bool)) bool {
 	if !s.lit('{') {
 		return false
@@ -296,7 +257,7 @@ func (s *wireScanner) next(closer byte, first bool) (more, ok bool) {
 }
 
 // key scans an object key and its colon. The key's raw bytes are what the
-// schemas compare, so an escaped key matches none and declines.
+// schemas compare, so an escaped key matches none and is rejected.
 func (s *wireScanner) key() ([]byte, bool) {
 	if !s.lit('"') {
 		return nil, false
@@ -311,15 +272,18 @@ func (s *wireScanner) key() ([]byte, bool) {
 }
 
 // vec3 scans a JSON array of exactly three numbers.
-func (s *wireScanner) vec3(v *[3]float64) bool {
+func (s *wireScanner) vec3(v *geom.Vec3) bool {
+	var xyz [3]float64
 	n := 0
-	return s.array(func() bool {
-		if n == len(v) {
+	ok := s.array(func() bool {
+		if n == len(xyz) {
 			return false
 		}
 		n++
-		return s.float(&v[n-1])
-	}) && n == len(v)
+		return s.float(&xyz[n-1])
+	}) && n == len(xyz)
+	*v = geom.Vec3{X: xyz[0], Y: xyz[1], Z: xyz[2]}
+	return ok
 }
 
 // float scans a number as encoding/json decodes it into a float64.
@@ -333,16 +297,16 @@ func (s *wireScanner) float(f *float64) bool {
 	return err == nil
 }
 
-// integer scans a number as encoding/json decodes it into an int:
+// color scans an LED colour as encoding/json decodes a number into an int:
 // ParseInt refuses a fraction or an exponent, and the value must fit.
-func (s *wireScanner) integer(n *int) bool {
+func (s *wireScanner) color(c *ledring.Color) bool {
 	num := s.number()
 	if num == nil {
 		return false
 	}
 	v, err := strconv.ParseInt(string(num), 10, 64)
-	*n = int(v)
-	return err == nil && int64(*n) == v
+	*c = ledring.Color(v)
+	return err == nil && int64(*c) == v
 }
 
 // number scans a number in the JSON grammar,

@@ -4,48 +4,133 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 
 	"hdc/internal/flight"
 	"hdc/internal/geom"
+	"hdc/internal/graph/nodes"
 	"hdc/internal/imu"
+	"hdc/internal/ledring"
 )
 
-// graphwire_test.go holds the graph-body decoder to encoding/json: for any
-// body and body limit, decodeGraphBody and a json.Decoder with unknown
-// fields disallowed, followed by a check that only whitespace remains
-// (json.Unmarshal's error when not), must agree on accept or reject, on the
-// error string, and on every decoded value bit for bit.
+// graphwire_test.go holds the graph-body scanner to encoding/json. For any
+// body and body limit:
+//   - a body over the limit answers the read's error;
+//   - a body the scanner accepts, encoding/json accepts too (unknown fields
+//     disallowed, only whitespace after the value), and the wire structs it
+//     fills, put through the reference conversion, equal the scanner's
+//     graph inputs bit for bit;
+//   - the same body re-encoded with json.Marshal scans to the same bits;
+//   - every other body is rejected as malformed at a byte inside it.
+
+// The wire structs encoding/json decodes the reference into. Slice fields
+// are omitempty, so json.Marshal re-encodes an absent or empty array as an
+// absent key (which the scanner accepts), never as null.
+type (
+	ledringRing struct {
+		Frames [][]int `json:"frames,omitempty"`
+	}
+	graphLedringRequest struct {
+		Rings []ledringRing `json:"rings,omitempty"`
+	}
+	imuSample struct {
+		TS       float64    `json:"t_s"`
+		Accel    [3]float64 `json:"accel"`
+		GyroZ    float64    `json:"gyro_z"`
+		BaroAltM float64    `json:"baro_alt_m"`
+	}
+	graphIMURequest struct {
+		Windows [][]imuSample `json:"windows,omitempty"`
+	}
+	flightSample struct {
+		TS         float64    `json:"t_s"`
+		Pos        [3]float64 `json:"pos"`
+		HeadingDeg float64    `json:"heading_deg"`
+	}
+	graphFlightRequest struct {
+		Trajectories [][]flightSample `json:"trajectories,omitempty"`
+	}
+)
+
+// The reference conversion: the copy from wire structs into graph inputs
+// the handlers made before the scanner filled the inputs itself.
+
+func (q graphLedringRequest) inputs() []nodes.LedringInput {
+	return convert(q.Rings, func(r ledringRing) nodes.LedringInput {
+		return nodes.LedringInput{Frames: convert(r.Frames, func(f []int) []ledring.Color {
+			return convert(f, func(c int) ledring.Color { return ledring.Color(c) })
+		})}
+	})
+}
+
+func (q graphIMURequest) inputs() []nodes.IMUWindow {
+	return convert(q.Windows, func(win []imuSample) nodes.IMUWindow {
+		return convert(win, func(sm imuSample) imu.Sample {
+			return imu.Sample{
+				T:        secondsToDuration(sm.TS),
+				Accel:    geom.V3(sm.Accel[0], sm.Accel[1], sm.Accel[2]),
+				GyroZ:    sm.GyroZ,
+				BaroAltM: sm.BaroAltM,
+			}
+		})
+	})
+}
+
+func (q graphFlightRequest) inputs() []flight.Trajectory {
+	return convert(q.Trajectories, func(tr []flightSample) flight.Trajectory {
+		return convert(tr, func(sm flightSample) flight.Sample {
+			return flight.Sample{
+				T:       sm.TS,
+				Pos:     geom.V3(sm.Pos[0], sm.Pos[1], sm.Pos[2]),
+				Heading: geom.NewHeading(sm.HeadingDeg * math.Pi / 180),
+			}
+		})
+	})
+}
+
+// convert maps in through f, keeping a nil slice nil.
+func convert[T, U any](in []T, f func(T) U) []U {
+	if in == nil {
+		return nil
+	}
+	out := make([]U, len(in))
+	for i, v := range in {
+		out[i] = f(v)
+	}
+	return out
+}
 
 // graphSchema is one value endpoint's request schema under test.
 type graphSchema struct {
 	name string
-	// check runs the differential on one body and reports whether the
-	// scanner, not the encoding/json fallback, took it.
-	check func(t *testing.T, body []byte, limit int64, oneByte bool) (scanned bool)
-	// accepted are bodies in the scanner's canonical shape, the first a
-	// plain one; declined are bodies it must hand to encoding/json.
-	accepted, declined []string
+	// check runs the properties on one body and reports whether the
+	// scanner accepted it.
+	check func(t *testing.T, body []byte, limit int64, oneByte bool) (accepted bool)
+	// accepted are bodies in the canonical shape, the first a plain one;
+	// rejected are bodies outside it, many of which encoding/json takes.
+	accepted, rejected []string
 }
 
 var graphSchemas = []graphSchema{
 	{
 		name:  "ledring",
-		check: checker(scanLedring),
+		check: checker[graphLedringRequest](scanLedring),
 		accepted: []string{
 			`{"rings":[{"frames":[[0,1,2,3],[3,2,1,0]]},{"frames":[]},{"frames":[[]]},{}]}`,
 			`{"rings":[{"frames":[[-0]]}]}`,
 			`{"rings":[{"frames":[[9223372036854775807,-9223372036854775808]]}]}`,
 		},
-		declined: []string{
+		rejected: []string{
 			`{"rings":[{"frames":[[1,2]]},{"frames":[[3]]}],"rings":[{}]}`,
 			`{"rings":[{"frames":[[1]]}],"extra":1}`,
 			`{"rings":[{"frames":[[1]],"leds":2}]}`,
@@ -81,7 +166,7 @@ var graphSchemas = []graphSchema{
 	},
 	{
 		name:  "imu",
-		check: checker(scanIMU),
+		check: checker[graphIMURequest](scanIMU),
 		accepted: []string{
 			`{"windows":[[{"t_s":0.05,"accel":[0.1,-0.2,9.81],"gyro_z":-1.5e-3,"baro_alt_m":5},{"t_s":0.1,"accel":[0,0,9.8]}],[]]}`,
 			`{"windows":[[{"t_s":0,"accel":[0,0,9.81]},{"t_s":0.1,"accel":[0,0,9.81]}]]}`, // README's curl
@@ -90,7 +175,7 @@ var graphSchemas = []graphSchema{
 			`{"windows":[[{"t_s":1E-2,"gyro_z":2e+3,"baro_alt_m":-4.25E1}]]}`,
 			`{"windows":[[{"t_s":0.1000000000000000055511151231257827}]]}`,
 		},
-		declined: []string{
+		rejected: []string{
 			`{"windows":[[{"t_s":1,"gyro_z":2}]],"windows":[[{"t_s":3}]]}`,
 			`{"windows":[[{"t_s":0.05,"gyro_x":1}]]}`,
 			`{"windows":[[{"t_s":0.05}]],"rate":20}`,
@@ -120,13 +205,13 @@ var graphSchemas = []graphSchema{
 	},
 	{
 		name:  "flight",
-		check: checker(scanFlight),
+		check: checker[graphFlightRequest](scanFlight),
 		accepted: []string{
 			`{"trajectories":[[{"t_s":0,"pos":[1,2.5,-3e1],"heading_deg":90}],[]]}`,
 			" \t\r\n{ \"trajectories\" : [ [ {\"t_s\":0,\"pos\":[ 1 , 2.5 , -3e1 ],\"heading_deg\":90} ] , [ ] ] } \n",
 			`{"trajectories":[[{"t_s":-0,"heading_deg":-0e0}]]}`,
 		},
-		declined: []string{
+		rejected: []string{
 			`{"trajectories":[[{"t_s":1,"heading_deg":2}]],"trajectories":[[{"t_s":3}]]}`,
 			`{"trajectories":[[{"t_s":0,"pos":[1,2,3],"heading":90}]]}`,
 			`{"trajectories":[[{"t_s":0,"pos":[1,2,3],"pos":[4,5,6]}]]}`,
@@ -142,17 +227,21 @@ var graphSchemas = []graphSchema{
 	},
 }
 
-// sharedAccepted and sharedDeclined apply to every schema.
+// sharedAccepted and sharedRejected apply to every schema.
 var (
 	sharedAccepted = []string{"{}", " {} \n\t\r"}
-	sharedDeclined = []string{
+	sharedRejected = []string{
 		"", " ", "null", "[]", `""`, "0", "{", "}", `{"":1}`, `{"a"}`, `{"a":}`,
 		"\xef\xbb\xbf{}", `{}{}`, `{} x`, "{}\x00",
 	}
 )
 
-// checker builds a graphSchema check for one scan function.
-func checker[T any](scan func(*wireScanner) (T, bool)) func(*testing.T, []byte, int64, bool) bool {
+// errMalformedPrefix starts the error of every rejected body.
+const errMalformedPrefix = "server: malformed request body at byte "
+
+// checker builds a graphSchema check for one scan function and the wire
+// struct W whose reference conversion it must match.
+func checker[W interface{ inputs() []T }, T any](scan func(*wireScanner) ([]T, bool)) func(*testing.T, []byte, int64, bool) bool {
 	return func(t *testing.T, body []byte, limit int64, oneByte bool) bool {
 		t.Helper()
 		var rd io.Reader = bytes.NewReader(body)
@@ -160,63 +249,85 @@ func checker[T any](scan func(*wireScanner) (T, bool)) func(*testing.T, []byte, 
 			rd = iotest.OneByteReader(rd)
 		}
 		req := httptest.NewRequest(http.MethodPost, "/", rd)
-		got, gotErr := decodeGraphBody(httptest.NewRecorder(), req, limit, scan)
+		got, err := decodeGraphBody(httptest.NewRecorder(), req, limit, scan)
 
-		var want T
-		dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), limit))
-		dec.DisallowUnknownFields()
-		wantErr := dec.Decode(&want)
-		if wantErr == nil {
-			// Only whitespace may follow the value. Anything else is
-			// rejected with json.Unmarshal's error for the body; a read
-			// error met first is returned as is.
-			var se *json.SyntaxError
-			if _, err := dec.Token(); err == nil || errors.As(err, &se) {
-				wantErr = json.Unmarshal(body, new(json.RawMessage))
-				if wantErr == nil {
-					t.Fatalf("body %q: json.Unmarshal accepts what follows the value", body)
-				}
-			} else if !errors.Is(err, io.EOF) {
-				wantErr = err
+		if int64(len(body)) > max(limit, 0) {
+			var tooLarge *http.MaxBytesError
+			if !errors.As(err, &tooLarge) {
+				t.Fatalf("body %q limit %d: error %v, want the read's %T", body, limit, err, tooLarge)
 			}
+			return false
+		}
+		if err != nil {
+			at, perr := strconv.Atoi(strings.TrimPrefix(err.Error(), errMalformedPrefix))
+			if !strings.HasPrefix(err.Error(), errMalformedPrefix) || perr != nil || at < 0 || at > len(body) {
+				t.Fatalf("body %q: error %q, want %q and a byte of the body", body, err, errMalformedPrefix)
+			}
+			return false
 		}
 
-		switch {
-		case (gotErr == nil) != (wantErr == nil):
-			t.Fatalf("body %q limit %d: decode error %v, encoding/json error %v", body, limit, gotErr, wantErr)
-		case gotErr != nil && gotErr.Error() != wantErr.Error():
-			t.Fatalf("body %q limit %d: error %q, encoding/json %q", body, limit, gotErr, wantErr)
-		case gotErr == nil && !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)):
-			t.Fatalf("body %q limit %d: decoded %+v, encoding/json %+v", body, limit, got, want)
+		var q W
+		if err := jsonDecode(body, &q); err != nil {
+			t.Fatalf("body %q: scanner accepted, encoding/json: %v", body, err)
 		}
-		s := &wireScanner{b: body}
-		_, ok := scan(s)
-		return ok && s.end()
+		if want := q.inputs(); !sameBits(reflect.ValueOf(got), reflect.ValueOf(want), true) {
+			t.Fatalf("body %q: scanned %+v, encoding/json %+v", body, got, want)
+		}
+
+		// Round trip: the value re-encoded scans to the same bits. An empty
+		// array re-encodes as an absent key, so nil and empty agree here.
+		re, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &wireScanner{b: re}
+		again, ok := scan(s)
+		if !ok || !s.end() {
+			t.Fatalf("body %q re-encoded as %q: rejected at byte %d", body, re, s.i)
+		}
+		if !sameBits(reflect.ValueOf(again), reflect.ValueOf(got), false) {
+			t.Fatalf("body %q re-encoded as %q: scanned %+v, first %+v", body, re, again, got)
+		}
+		return true
 	}
 }
 
+// jsonDecode is the reference decoder: encoding/json with unknown fields
+// disallowed, and nothing but whitespace after the value.
+func jsonDecode(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("after the value: %v", err)
+	}
+	return nil
+}
+
 // sameBits reports whether a and b hold the same decoded value: slices of
-// equal length and nil-ness, equal ints, and floats equal by Float64bits,
-// so -0 and 0 differ.
-func sameBits(a, b reflect.Value) bool {
+// equal length (and, when nilMatters, equal nil-ness), equal integers, and
+// floats equal by Float64bits, so -0 and 0 differ.
+func sameBits(a, b reflect.Value, nilMatters bool) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case reflect.Int:
+	case reflect.Int, reflect.Int64:
 		return a.Int() == b.Int()
 	case reflect.Slice, reflect.Array:
-		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+		if nilMatters && a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
 			return false
 		}
 		for i := 0; i < a.Len(); i++ {
-			if !sameBits(a.Index(i), b.Index(i)) {
+			if !sameBits(a.Index(i), b.Index(i), nilMatters) {
 				return false
 			}
 		}
 		return true
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if !sameBits(a.Field(i), b.Field(i)) {
+			if !sameBits(a.Field(i), b.Field(i), nilMatters) {
 				return false
 			}
 		}
@@ -225,29 +336,29 @@ func sameBits(a, b reflect.Value) bool {
 	panic("sameBits: unexpected kind " + a.Kind().String())
 }
 
-// TestGraphDecodeMatchesJSON runs the differential over the seed bodies at
-// a roomy limit and at limits that cut them. It also pins which path each
-// seed takes: the accepted ones, and the benchmark-shaped bodies, the
-// scanner; the declined ones encoding/json.
+// TestGraphDecodeMatchesJSON runs the properties over the seed bodies at a
+// roomy limit and at limits that cut them, and pins which side each seed
+// falls on: the accepted ones, the benchmark-shaped bodies and the README's
+// curl body are accepted; every rejected one answers malformed, and so 400.
 func TestGraphDecodeMatchesJSON(t *testing.T) {
 	bodies := graphBenchBodies(t)
 	for k, sc := range graphSchemas {
 		t.Run(sc.name, func(t *testing.T) {
 			accepted := append(append([]string{string(bodies[k])}, sc.accepted...), sharedAccepted...)
-			declined := append(append([]string{}, sc.declined...), sharedDeclined...)
-			for _, v := range append(accepted, declined...) {
+			rejected := append(append([]string{}, sc.rejected...), sharedRejected...)
+			for _, v := range append(accepted, rejected...) {
 				for _, limit := range []int64{1 << 30, int64(len(v)), int64(len(v)) - 1, 3, 0, -1} {
 					sc.check(t, []byte(v), limit, false)
 				}
 			}
 			for _, v := range accepted {
 				if !sc.check(t, []byte(v), 1<<30, true) {
-					t.Errorf("scanner declined %.200q", v)
+					t.Errorf("scanner rejected %.200q", v)
 				}
 			}
-			for _, v := range declined {
+			for _, v := range rejected {
 				if sc.check(t, []byte(v), 1<<30, true) {
-					t.Errorf("scanner took %q", v)
+					t.Errorf("scanner accepted %q", v)
 				}
 			}
 			// Over the limit: the value ends inside it, followed by more
@@ -263,10 +374,21 @@ func TestGraphDecodeMatchesJSON(t *testing.T) {
 	}
 }
 
-// FuzzGraphDecode is the differential over arbitrary bodies and limits.
+// TestGraphDecodeReadError pins that a transport failure mid-body answers
+// with the read's own error, not a malformed-body one.
+func TestGraphDecodeReadError(t *testing.T) {
+	errCut := errors.New("connection cut")
+	body := io.MultiReader(strings.NewReader(`{"windows":[[{"t_s":`), iotest.ErrReader(errCut))
+	req := httptest.NewRequest(http.MethodPost, "/", body)
+	if _, err := decodeGraphBody(httptest.NewRecorder(), req, 1<<20, scanIMU); !errors.Is(err, errCut) {
+		t.Fatalf("decode error %v, want %v", err, errCut)
+	}
+}
+
+// FuzzGraphDecode runs the properties over arbitrary bodies and limits.
 func FuzzGraphDecode(f *testing.F) {
 	for k, sc := range graphSchemas {
-		for _, v := range [][]string{sc.accepted, sc.declined, sharedAccepted, sharedDeclined} {
+		for _, v := range [][]string{sc.accepted, sc.rejected, sharedAccepted, sharedRejected} {
 			for _, b := range v {
 				f.Add(uint8(k), []byte(b), int64(1<<20), false)
 				f.Add(uint8(k), []byte(b+"  x"), int64(len(b)+1), true)
@@ -363,11 +485,11 @@ func (*replayBody) Close() error { return nil }
 
 // decodeLoop returns a function that decodes body through decodeGraphBody
 // once per call, reusing one request.
-func decodeLoop[T any](tb testing.TB, body []byte, scan func(*wireScanner) (T, bool)) func() T {
+func decodeLoop[T any](tb testing.TB, body []byte, scan func(*wireScanner) ([]T, bool)) func() []T {
 	req := httptest.NewRequest(http.MethodPost, "/", nil)
 	w := httptest.NewRecorder()
 	rb := &replayBody{}
-	return func() T {
+	return func() []T {
 		rb.Reset(body)
 		req.Body = rb
 		v, err := decodeGraphBody(w, req, 1<<30, scan)
@@ -386,22 +508,22 @@ func decodeLoop[T any](tb testing.TB, body []byte, scan func(*wireScanner) (T, b
 func TestGraphDecodeAllocs(t *testing.T) {
 	body := graphBenchBodies(t)[1]
 	s := &wireScanner{}
-	decode := func() graphIMURequest {
+	decode := func() []nodes.IMUWindow {
 		s.b, s.i = body, 0
-		q, ok := scanIMU(s)
+		w, ok := scanIMU(s)
 		if !ok || !s.end() {
-			t.Fatal("scanner declined the IMU body")
+			t.Fatal("scanner rejected the IMU body")
 		}
-		return q
+		return w
 	}
-	slices := 1 + len(decode().Windows)
+	slices := 1 + len(decode())
 	const fixed = 2
 	if got := testing.AllocsPerRun(50, func() { decode() }); got > float64(slices+fixed) {
 		t.Fatalf("%.1f allocations per decode, want at most %d slices + %d", got, slices, fixed)
 	}
 }
 
-func benchGraphDecode[T any](b *testing.B, k int, scan func(*wireScanner) (T, bool)) {
+func benchGraphDecode[T any](b *testing.B, k int, scan func(*wireScanner) ([]T, bool)) {
 	body := graphBenchBodies(b)[k]
 	decode := decodeLoop(b, body, scan)
 	b.SetBytes(int64(len(body)))

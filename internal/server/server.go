@@ -273,10 +273,10 @@ func (s *Server) recognizeFrames(w http.ResponseWriter, r *http.Request, maxBatc
 	}
 	if single {
 		writeJSON(w, http.StatusOK, results[0])
-		return 1, false
+	} else {
+		writeJSON(w, http.StatusOK, batchResponse{Results: results})
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
-	return n, false
+	return n, interrupted(results)
 }
 
 // handleStreamCreate answers POST /v1/streams: opens an ordered session on
@@ -383,8 +383,9 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) (int
 	// Partial results are still results: the response is 200 with the
 	// undeliverable tail marked, so an operator mid-stream can tell exactly
 	// which frames made it.
-	writeJSON(w, http.StatusOK, batchResponse{Results: batchToWire(res, errs)})
-	return len(frames), err != nil || claimed < len(frames)
+	results := batchToWire(res, errs)
+	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	return len(frames), interrupted(results)
 }
 
 // handleHealthz answers GET /healthz.

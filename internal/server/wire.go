@@ -150,6 +150,17 @@ func batchToWire(res []recognizer.Result, errs []error) []FrameResult {
 	return out
 }
 
+// interrupted reports whether any slot answered "deadline" or "draining",
+// the one rule by which a frame endpoint's 200 counts as failed in /statsz.
+func interrupted(results []FrameResult) bool {
+	for _, r := range results {
+		if r.Err == ErrValueDeadline || r.Err == ErrValueDraining {
+			return true
+		}
+	}
+	return false
+}
+
 // errValue maps a per-item error to its wire string, the one mapping every
 // endpoint answers with: the reserved values for a rejected frame or
 // window, an expired X-Deadline-Ms budget ("deadline") and an executor shut
