@@ -5,6 +5,7 @@
 package hdc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -28,7 +29,6 @@ import (
 	"hdc/internal/sax"
 	"hdc/internal/scene"
 	"hdc/internal/timeseries"
-	"hdc/internal/trace"
 	"hdc/internal/vision"
 )
 
@@ -119,7 +119,7 @@ func BenchmarkE4TimeSeries(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := vision.ExtractSignatureNormalized(mask, 128); err != nil {
+		if _, _, _, err := vision.ExtractSignatureNorm(mask, 128, vision.NormWhiten); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.RecognizeBatch(frames); err != nil {
+		if _, _, err := recognizeBatch(p, frames); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -485,7 +485,7 @@ func BenchmarkStageBreakdown(b *testing.B) {
 	for i := range batch {
 		batch[i] = frame
 	}
-	if _, _, err := p.RecognizeBatch(batch); err != nil {
+	if _, _, err := recognizeBatch(p, batch); err != nil {
 		b.Fatal(err)
 	}
 	// The deliver terminal is stamped by the emit goroutine just after the
@@ -495,19 +495,12 @@ func BenchmarkStageBreakdown(b *testing.B) {
 	for tr.Snapshot(0).Totals.Delivered < frames && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	snap := tr.Snapshot(0)
-	byStage := make(map[string]int64, len(snap.Stages))
-	for _, sp := range snap.Stages {
-		if sp.Count > 0 {
-			byStage[sp.Stage] = sp.P50Ns
-		}
-	}
-	for _, name := range trace.SpanNames() {
-		p50, ok := byStage[name]
-		if !ok {
+	for _, sp := range tr.Snapshot(0).Stages {
+		if sp.Count == 0 {
 			continue // no ingest ring on the batch path
 		}
-		b.Run(name, func(b *testing.B) {
+		p50 := sp.P50Ns
+		b.Run(sp.Stage, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// The measurement already happened in the traced batch above;
 				// the loop only satisfies the benchmark contract.
@@ -532,4 +525,15 @@ func BenchmarkE16FleetPartition(b *testing.B) {
 			mission.PartitionTraps(world.Traps, k)
 		}
 	}
+}
+
+// recognizeBatch recognises frames in input order on a private stream of p.
+func recognizeBatch(p *pipeline.Pipeline, frames []*raster.Gray) ([]recognizer.Result, []error, error) {
+	st, err := p.NewStream()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.Close()
+	res, errs, _, err := st.Batch(context.Background(), frames, nil)
+	return res, errs, err
 }

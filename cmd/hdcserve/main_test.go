@@ -194,9 +194,18 @@ func TestServeDrainWithOpenSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gst, err := c.OpenGestureStream(ctx)
+	// A live gesture session: open it and push two frames into it.
+	resp, err := http.Post("http://"+addr+"/v1/gesture/streams", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var gst struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&gst)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open gesture session: %d %v", resp.StatusCode, err)
 	}
 
 	frames := make([]*raster.Gray, 8)
@@ -206,8 +215,24 @@ func TestServeDrainWithOpenSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := gst.Offer(ctx, frames[:2]...); err != nil {
+	_, _, payload, err := client.EncodeRaw(frames[:2])
+	if err != nil {
 		t.Fatal(err)
+	}
+	offer, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/gesture/streams/"+gst.ID+"/frames", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer.Header.Set("Content-Type", "application/octet-stream")
+	offer.Header.Set("X-Frame-Width", "64")
+	offer.Header.Set("X-Frame-Height", "64")
+	offer.Header.Set("X-Frame-Count", "2")
+	if resp, err = http.DefaultClient.Do(offer); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gesture offer: %d", resp.StatusCode)
 	}
 
 	// Slow the single worker so the stream request is still in flight when

@@ -11,8 +11,8 @@
 // ring, the protocol engine and the orchard world — is its own package
 // under internal/. Recognition scales through internal/pipeline, a
 // streaming worker-pool service with pooled buffers and per-stream
-// ordering, surfaced as core.System.NewStream/RecognizeBatch and driving
-// the concurrent fleet in internal/mission. See DESIGN.md for the
+// ordering, surfaced as core.System.NewStream/RecognizeBatchContext and
+// driving the concurrent fleet in internal/mission. See DESIGN.md for the
 // architecture and EXPERIMENTS.md for the per-figure reproduction report;
 // `go run ./cmd/experiments` regenerates the latter.
 package hdc

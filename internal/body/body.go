@@ -247,51 +247,3 @@ func armCapsules(side float64, spec armSpec, scale float64) []Capsule {
 		{A: elbow.Scale(scale), B: hand.Scale(scale), Radius: armRadius * scale},
 	}
 }
-
-// RotateY returns the figure rotated about the vertical (Z) axis by yaw
-// radians — used by the scene to realise the drone's relative azimuth.
-func (f Figure) RotateY(yaw float64) Figure {
-	s, c := math.Sincos(yaw)
-	rot := func(v geom.Vec3) geom.Vec3 {
-		return geom.V3(v.X*c-v.Y*s, v.X*s+v.Y*c, v.Z)
-	}
-	out := Figure{
-		HeadCenter: rot(f.HeadCenter),
-		HeadRadius: f.HeadRadius,
-		Height:     f.Height,
-		Capsules:   make([]Capsule, len(f.Capsules)),
-	}
-	for i, cp := range f.Capsules {
-		out.Capsules[i] = Capsule{A: rot(cp.A), B: rot(cp.B), Radius: cp.Radius}
-	}
-	return out
-}
-
-// Translate returns the figure shifted by offset (to place the signaller in
-// the world).
-func (f Figure) Translate(offset geom.Vec3) Figure {
-	out := Figure{
-		HeadCenter: f.HeadCenter.Add(offset),
-		HeadRadius: f.HeadRadius,
-		Height:     f.Height,
-		Capsules:   make([]Capsule, len(f.Capsules)),
-	}
-	for i, cp := range f.Capsules {
-		out.Capsules[i] = Capsule{A: cp.A.Add(offset), B: cp.B.Add(offset), Radius: cp.Radius}
-	}
-	return out
-}
-
-// WristHeights returns the height (Z) of each hand endpoint, ordered
-// left, right — a convenient scalar feature for pose diagnostics and tests.
-func (f Figure) WristHeights() (left, right float64) {
-	// Arms are appended after the 3 torso/leg capsules, two capsules each:
-	// left upper, left fore, right upper, right fore.
-	const torsoParts = 3
-	if len(f.Capsules) < torsoParts+4 {
-		return 0, 0
-	}
-	left = f.Capsules[torsoParts+1].B.Z
-	right = f.Capsules[torsoParts+3].B.Z
-	return left, right
-}

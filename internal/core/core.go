@@ -52,9 +52,9 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 func WithSceneConfig(s scene.Config) Option { return func(c *config) { c.sceneCfg = s } }
 
 // WithPipelineConfig sizes the streaming recognition worker pool behind
-// NewStream/RecognizeBatch (default: NumCPU workers). It is ignored when the
-// system attaches to a shared pool via WithSharedPipeline — the pool was
-// sized by whoever built it.
+// NewStream/RecognizeBatchContext (default: NumCPU workers). It is ignored
+// when the system attaches to a shared pool via WithSharedPipeline — the
+// pool was sized by whoever built it.
 func WithPipelineConfig(p pipeline.Config) Option { return func(c *config) { c.pipeCfg = p } }
 
 // WithSharedPipeline attaches the system to an externally built worker pool
@@ -79,41 +79,11 @@ func WithSharedPipeline(p *pipeline.Pipeline) Option {
 // are assigned "owner-N" in attach order.
 func WithPoolLabel(label string) Option { return func(c *config) { c.poolLabel = label } }
 
-// WithPerceptionDeadline bounds (in wall-clock time) how long a shared
-// system's conversation perception waits for the fleet pool before giving
-// the frame up: past the deadline the conversation perceives nothing — the
-// protocol's timeout machinery takes over — and the abandoned frame is shed
-// at the drone's own ring (owner-attributed) or discarded when its late
-// result lands. Zero (the default) waits for the pool indefinitely, which
-// keeps simulations deterministic; real fleets holding a perception budget
-// set a deadline. Ignored on systems without WithSharedPipeline.
-func WithPerceptionDeadline(d time.Duration) Option {
-	return func(c *config) { c.perceiveDdl = d }
-}
-
 // WithHome places the drone's base station.
 func WithHome(h geom.Vec3) Option { return func(c *config) { c.home = h } }
 
-// WithNegotiationGeometry sets the stand-off distance and altitude used
-// when conversing (defaults: the paper's 3 m and 5 m).
-func WithNegotiationGeometry(standoffM, altitudeM float64) Option {
-	return func(c *config) {
-		c.standoff = standoffM
-		c.negotAlt = altitudeM
-	}
-}
-
-// WithWind adds a wind field (mean + gust standard deviation).
-func WithWind(mean geom.Vec2, gustStd float64) Option {
-	return func(c *config) {
-		c.windMean = mean
-		c.windGust = gustStd
-		c.windSet = true
-	}
-}
-
 // System is the assembled human-drone communication stack. The streaming
-// members (NewStream, RecognizeBatch) are safe for concurrent use; the
+// members (NewStream, RecognizeBatchContext) are safe for concurrent use; the
 // single-drone members (Converse, EnsureAirborne) drive the one agent and
 // must not be called concurrently with each other.
 type System struct {

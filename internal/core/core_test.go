@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"hdc/internal/flight"
 	"hdc/internal/geom"
@@ -122,7 +123,7 @@ func TestConverseRespectsSafetyAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.Agent.BatteryFrac() > 0.16 {
-		if err := s.Agent.Hover(60); err != nil {
+		if _, err := s.Agent.FlyPattern(flight.PatternHeadTurn, s.Agent.D.S.Pos); err != nil {
 			break
 		}
 	}
@@ -167,5 +168,32 @@ func TestWithWind(t *testing.T) {
 	// A short cruise still succeeds under wind.
 	if _, err := s.Agent.FlyPattern(flight.PatternCruise, geom.V3(10, 0, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// WithPerceptionDeadline bounds (in wall-clock time) how long a shared
+// system's conversation perception waits for the fleet pool before giving
+// the frame up: past the deadline the conversation perceives nothing and the
+// abandoned frame is shed at the drone's own ring or discarded when its late
+// result lands. Ignored on systems without WithSharedPipeline.
+func WithPerceptionDeadline(d time.Duration) Option {
+	return func(c *config) { c.perceiveDdl = d }
+}
+
+// WithNegotiationGeometry sets the stand-off distance and altitude used
+// when conversing (defaults: the paper's 3 m and 5 m).
+func WithNegotiationGeometry(standoffM, altitudeM float64) Option {
+	return func(c *config) {
+		c.standoff = standoffM
+		c.negotAlt = altitudeM
+	}
+}
+
+// WithWind adds a wind field (mean + gust standard deviation).
+func WithWind(mean geom.Vec2, gustStd float64) Option {
+	return func(c *config) {
+		c.windMean = mean
+		c.windGust = gustStd
+		c.windSet = true
 	}
 }

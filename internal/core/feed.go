@@ -14,7 +14,7 @@ import (
 // pool. Each drone's camera frames pass through a private bounded ring
 // (pipeline.Source) into an owner-attributed stream, so recognition capacity
 // is drawn from the fleet-level pool. Overload degrades per drone: with a
-// perception deadline set (WithPerceptionDeadline), a drone whose frame is
+// perception deadline set (config.perceiveDdl), a drone whose frame is
 // not served in time gives up on that frame — the next offer evicts it from
 // the 1-slot ring (shed, owner-attributed) and the conversation simply
 // perceives nothing, handing control to the protocol's timeout machinery —

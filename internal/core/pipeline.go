@@ -77,21 +77,11 @@ func (s *System) NewProcStream(proc pipeline.Proc) (*pipeline.Stream, error) {
 	return o.NewProcStream(proc)
 }
 
-// RecognizeBatch recognises a batch of frames on the system's worker pool
-// and returns the results in input order with one error slot per frame (nil
-// for an accepted sign, recognizer.ErrNoSign or a vision error otherwise).
-func (s *System) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	o, err := s.ensurePipeline()
-	if err != nil {
-		return nil, nil, err
-	}
-	return o.RecognizeBatch(frames)
-}
-
-// RecognizeBatchContext is RecognizeBatch with a deadline and pooled-frame
-// recycling — see pipeline.Pipeline.RecognizeBatchContext for the frame
-// ownership contract (on a nil top-level error the call owns every frame;
-// recycle fires exactly once per frame).
+// RecognizeBatchContext recognises a batch of frames on the system's worker
+// pool under ctx and returns the results in input order, one error slot per
+// frame — see pipeline.Owner.RecognizeBatchContext for the frame ownership
+// contract (on a nil top-level error the call owns every frame; recycle
+// fires exactly once per frame).
 func (s *System) RecognizeBatchContext(ctx context.Context, frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
 	o, err := s.ensurePipeline()
 	if err != nil {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"hdc/internal/body"
 	"hdc/internal/pipeline"
 	"hdc/internal/raster"
+	"hdc/internal/recognizer"
 	"hdc/internal/scene"
 )
 
@@ -78,4 +80,9 @@ func TestSystemCloseBeforeUse(t *testing.T) {
 		t.Fatalf("RecognizeBatch after early Close: %v", err)
 	}
 	sys.Close() // still idempotent
+}
+
+// RecognizeBatch is RecognizeBatchContext without a deadline or recycling.
+func (s *System) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
+	return s.RecognizeBatchContext(context.Background(), frames, nil)
 }

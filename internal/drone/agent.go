@@ -14,7 +14,6 @@ import (
 
 	"hdc/internal/flight"
 	"hdc/internal/geom"
-	"hdc/internal/imu"
 	"hdc/internal/ledring"
 	"hdc/internal/telemetry"
 )
@@ -93,10 +92,6 @@ type Agent struct {
 	tripCause string
 	humans    []geom.Vec2
 	sepWaived bool
-
-	sensor      *imu.IMU
-	detector    *imu.Detector
-	motionState imu.MotionState
 }
 
 // New assembles an agent parked at cfg.Home with a full battery and the
@@ -136,16 +131,6 @@ func (a *Agent) Clock() time.Duration { return a.clock }
 // BatteryFrac returns the state of charge in [0, 1].
 func (a *Agent) BatteryFrac() float64 { return a.chargeWh / a.battery.CapacityWh }
 
-// Tripped reports whether a safety trigger fired, with its cause.
-func (a *Agent) Tripped() (bool, string) { return a.tripped, a.tripCause }
-
-// ClearTrip resets the safety latch (after the operator resolves the cause)
-// and returns the ring to danger-default until flight resumes.
-func (a *Agent) ClearTrip() {
-	a.tripped = false
-	a.tripCause = ""
-}
-
 // SetHumans updates the positions of nearby humans for separation checks.
 func (a *Agent) SetHumans(pos []geom.Vec2) {
 	a.humans = append(a.humans[:0], pos...)
@@ -154,20 +139,6 @@ func (a *Agent) SetHumans(pos []geom.Vec2) {
 // WaiveSeparation suspends the human-separation trigger (used while a
 // negotiated entry is in progress — the human GRANTED the approach).
 func (a *Agent) WaiveSeparation(on bool) { a.sepWaived = on }
-
-// AttachIMU couples a simulated inertial sensor to the agent: every tick
-// samples it, runs the motion detector and logs motion-state transitions —
-// the "indicate actual flight" extension the paper's §II defers. The
-// detected state is exposed through MotionState.
-func (a *Agent) AttachIMU(sensor *imu.IMU) {
-	a.sensor = sensor
-	a.detector = imu.NewDetector()
-	a.motionState = imu.StateUnknown
-}
-
-// MotionState returns the IMU-detected gross motion state (StateUnknown
-// when no IMU is attached).
-func (a *Agent) MotionState() imu.MotionState { return a.motionState }
 
 // ErrSafetyTripped is returned by flight commands after a trigger fired.
 var ErrSafetyTripped = errors.New("drone: safety monitor tripped")
@@ -211,25 +182,6 @@ func (a *Agent) tick(dt float64) {
 		a.chargeWh -= draw * dt / 3600
 		if a.chargeWh < 0 {
 			a.chargeWh = 0
-		}
-	}
-	if a.sensor != nil {
-		// The detector is calibrated for flight-controller-rate sampling
-		// (tens of ms); the agent's coarse ticks are subdivided so the
-		// sensor noise integrates in its designed regime.
-		const subDT = 0.05
-		n := int(dt / subDT)
-		if n < 1 {
-			n = 1
-		}
-		var state imu.MotionState
-		for i := 0; i < n; i++ {
-			sample := a.sensor.Sample(dt/float64(n), a.D.S, a.D.RotorsOn())
-			state = a.detector.Push(sample)
-		}
-		if state != a.motionState {
-			a.Log.Emitf(a.clock, "imu", "motion", "%v → %v", a.motionState, state)
-			a.motionState = state
 		}
 	}
 	a.checkSafety()
@@ -288,21 +240,4 @@ func minF(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// Hover holds position for dur seconds with safety ticking.
-func (a *Agent) Hover(dur float64) error {
-	if a.tripped {
-		return fmt.Errorf("%w: %s", ErrSafetyTripped, a.tripCause)
-	}
-	rec := &flight.Recorder{}
-	step := 0.5
-	for t := 0.0; t < dur; t += step {
-		a.D.Hover(step, 0.05, rec)
-		a.tick(step)
-		if a.tripped {
-			return fmt.Errorf("%w: %s", ErrSafetyTripped, a.tripCause)
-		}
-	}
-	return nil
 }

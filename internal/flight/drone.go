@@ -217,14 +217,3 @@ func (d *Drone) FlyTo(target geom.Vec3, speed, dt, maxDur, tol float64, rec *Rec
 	}
 	return d.S.Pos.Dist(target) <= tol
 }
-
-// Hover actively holds the current position for dur seconds (recording
-// samples). Unlike a zero-velocity command, it fights wind drift.
-func (d *Drone) Hover(dur, dt float64, rec *Recorder) {
-	anchor := d.S.Pos
-	steps := int(dur / dt)
-	for i := 0; i < steps; i++ {
-		d.Step(dt, d.velocityTowards(anchor, d.P.MaxSpeed/2), 0)
-		rec.Record(dt, d.S)
-	}
-}

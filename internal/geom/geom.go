@@ -62,11 +62,6 @@ func (v Vec2) Rotate(ang float64) Vec2 {
 // Angle returns the mathematical angle of v in radians, in (-π, π].
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// Lerp linearly interpolates between v (t=0) and w (t=1).
-func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
-	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}
-}
-
 // String implements fmt.Stringer.
 func (v Vec2) String() string { return fmt.Sprintf("(%.3f, %.3f)", v.X, v.Y) }
 
@@ -117,11 +112,6 @@ func (v Vec3) Unit() Vec3 {
 
 // XY projects v onto the ground plane.
 func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }
-
-// Lerp linearly interpolates between v (t=0) and w (t=1).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t, v.Z + (w.Z-v.Z)*t}
-}
 
 // String implements fmt.Stringer.
 func (v Vec3) String() string {

@@ -276,3 +276,36 @@ func TestPoseForward(t *testing.T) {
 		t.Fatalf("Forward = %v, want (1,0)", f)
 	}
 }
+
+// The other compass points.
+const (
+	East  Heading = math.Pi / 2
+	South Heading = math.Pi
+	West  Heading = 3 * math.Pi / 2
+)
+
+// Lerp linearly interpolates between v (t=0) and w (t=1).
+func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
+	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}
+}
+
+// Pose is a position with an orientation on the ground plane plus altitude.
+type Pose struct {
+	Pos     Vec3
+	Heading Heading
+}
+
+// Forward returns the ground-plane unit vector the pose faces.
+func (p Pose) Forward() Vec2 { return p.Heading.Vec() }
+
+// WrapAngle normalises an angle to (-π, π].
+func WrapAngle(a float64) float64 {
+	a = math.Mod(a, 2*math.Pi)
+	if a > math.Pi {
+		a -= 2 * math.Pi
+	}
+	if a <= -math.Pi {
+		a += 2 * math.Pi
+	}
+	return a
+}

@@ -9,13 +9,8 @@ import (
 // normalised to [0, 2π).
 type Heading float64
 
-// Common headings.
-const (
-	North Heading = 0
-	East  Heading = math.Pi / 2
-	South Heading = math.Pi
-	West  Heading = 3 * math.Pi / 2
-)
+// North is the zero heading.
+const North Heading = 0
 
 // NewHeading normalises rad into [0, 2π).
 func NewHeading(rad float64) Heading {
@@ -70,21 +65,6 @@ func (h Heading) Add(rad float64) Heading { return NewHeading(float64(h) + rad) 
 // String implements fmt.Stringer.
 func (h Heading) String() string { return fmt.Sprintf("%.1f°", h.Deg()) }
 
-// Pose is a position with an orientation on the ground plane plus altitude —
-// the minimal description of where a drone is and where it points.
-type Pose struct {
-	Pos     Vec3
-	Heading Heading
-}
-
-// Forward returns the ground-plane unit vector the pose faces.
-func (p Pose) Forward() Vec2 { return p.Heading.Vec() }
-
-// String implements fmt.Stringer.
-func (p Pose) String() string {
-	return fmt.Sprintf("pos=%v hdg=%v", p.Pos, p.Heading)
-}
-
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
 
@@ -100,16 +80,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// WrapAngle normalises an angle to (-π, π].
-func WrapAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
-	if a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	if a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }

@@ -115,15 +115,6 @@ type Features struct {
 	Aspect float64
 }
 
-// ExtractFeatures computes the per-frame features from a binarised frame.
-func ExtractFeatures(mask *vision.Binary) (Features, error) {
-	_, comp, err := vision.LargestComponent(mask)
-	if err != nil {
-		return Features{}, err
-	}
-	return FeaturesFromComponent(comp)
-}
-
 // FeaturesFromComponent computes the features from component statistics
 // alone — the allocation-free path used by the pipeline stage, which gets
 // its component from a worker's vision.Scratch. Component bounds are

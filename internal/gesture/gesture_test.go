@@ -43,8 +43,6 @@ func TestFigureAtCyclesSmoothly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, r := f.WristHeights()
-		_ = r
 		// lateral position of the right hand: last capsule endpoint.
 		return f.Capsules[len(f.Capsules)-1].B.X
 	}
@@ -166,7 +164,7 @@ func TestFeaturesFromSinglePixelComponent(t *testing.T) {
 	// 0×0. The old exclusive subtraction rejected it as degenerate (and
 	// biased every aspect ratio one pixel short).
 	mask := vision.NewBinary(8, 8)
-	mask.Set(3, 4, 1)
+	mask.Pix[4*mask.W+3] = 1
 	f, err := ExtractFeatures(mask)
 	if err != nil {
 		t.Fatalf("single-pixel silhouette rejected: %v", err)
@@ -180,7 +178,7 @@ func TestFeaturesFromSinglePixelComponent(t *testing.T) {
 	// A one-column, three-row bar: width 1, height 3.
 	mask2 := vision.NewBinary(8, 8)
 	for y := 2; y <= 4; y++ {
-		mask2.Set(5, y, 1)
+		mask2.Pix[y*mask2.W+5] = 1
 	}
 	f2, err := ExtractFeatures(mask2)
 	if err != nil {
@@ -319,4 +317,14 @@ func TestStaticPoseRejected(t *testing.T) {
 	if _, err := r.Classify(topX, topY); err == nil {
 		t.Fatal("static pose accepted as a gesture")
 	}
+}
+
+// ExtractFeatures computes the per-frame features of a binarised frame's
+// largest component.
+func ExtractFeatures(mask *vision.Binary) (Features, error) {
+	_, comp, err := vision.NewScratch().LargestComponent(mask)
+	if err != nil {
+		return Features{}, err
+	}
+	return FeaturesFromComponent(comp)
 }

@@ -632,6 +632,3 @@ func (g *Graph) Stats() Stats {
 	}
 	return s
 }
-
-// Name returns the graph's label.
-func (g *Graph) Name() string { return g.name }

@@ -48,9 +48,6 @@ func (r Role) String() string {
 	}
 }
 
-// Valid reports whether r is a defined role.
-func (r Role) Valid() bool { return r >= RoleSupervisor && r <= RoleVisitor }
-
 // Profile is a role's behavioural parameters.
 type Profile struct {
 	// AttentionProb is the probability of responding to a poke at all.
@@ -224,17 +221,11 @@ func (r Response) BodyOptions() body.Options {
 	return body.Options{ArmJitterDeg: r.Jitter}
 }
 
-// Walk moves the collaborator by a random step of at most stepM meters —
-// the orchard world uses it to circulate workers between trees.
-func (c *Collaborator) Walk(stepM float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.walk(stepM)
-}
-
-// WalkWithin is Walk with the destination clamped to the [lo, hi] rectangle,
-// performed atomically so a concurrent observer never sees the unclamped
-// intermediate position.
+// WalkWithin moves the collaborator by a random step of at most stepM
+// meters — the orchard world uses it to circulate workers between trees —
+// with the destination clamped to the [lo, hi] rectangle, performed
+// atomically so a concurrent observer never sees the unclamped intermediate
+// position.
 func (c *Collaborator) WalkWithin(stepM float64, lo, hi geom.Vec2) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -144,14 +144,14 @@ func TestWalkMovesWithinStep(t *testing.T) {
 	c, _ := New("w", RoleWorker, geom.V2(10, 10), rng)
 	for i := 0; i < 100; i++ {
 		before := c.Pos
-		c.Walk(1.5)
+		c.walk(1.5)
 		if d := c.Pos.Dist(before); d > 1.5+1e-9 {
 			t.Fatalf("walk step %v exceeds limit", d)
 		}
 	}
 	// Zero step is a no-op.
 	before := c.Pos
-	c.Walk(0)
+	c.walk(0)
 	if c.Pos != before {
 		t.Fatal("zero step moved")
 	}
@@ -174,3 +174,6 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Valid reports whether r is a defined role.
+func (r Role) Valid() bool { return r >= RoleSupervisor && r <= RoleVisitor }

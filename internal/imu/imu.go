@@ -254,14 +254,3 @@ func (d *Detector) Push(s Sample) MotionState {
 		return StateHover
 	}
 }
-
-// Velocity returns the detector's current velocity estimate (leaky
-// integral; useful for display, not navigation).
-func (d *Detector) Velocity() geom.Vec3 { return d.vel }
-
-// Reset clears the detector state.
-func (d *Detector) Reset() {
-	d.vel = geom.Vec3{}
-	d.noise = 0
-	d.primed = false
-}

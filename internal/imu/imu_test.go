@@ -163,3 +163,13 @@ func TestDetectorBiasBounded(t *testing.T) {
 		t.Fatalf("hover misclassified %d/%d samples", misfires, n)
 	}
 }
+
+// Velocity returns the detector's current velocity estimate.
+func (d *Detector) Velocity() geom.Vec3 { return d.vel }
+
+// Reset clears the detector state.
+func (d *Detector) Reset() {
+	d.vel = geom.Vec3{}
+	d.noise = 0
+	d.primed = false
+}

@@ -156,9 +156,6 @@ func New(opts Options) (*Ring, error) {
 // Mode returns the current mode.
 func (r *Ring) Mode() Mode { return r.mode }
 
-// LEDCount returns the number of ring LEDs.
-func (r *Ring) LEDCount() int { return r.opts.LEDCount }
-
 // SetDanger switches the ring to the all-red danger display.
 func (r *Ring) SetDanger() {
 	r.mode = ModeDanger
@@ -177,16 +174,6 @@ func (r *Ring) SetNavigation(dir geom.Heading) {
 	r.mode = ModeNavigation
 	r.heading = dir
 	r.refresh()
-}
-
-// SetAllGreen switches to the all-green display if allowed by Options.
-func (r *Ring) SetAllGreen() error {
-	if !r.opts.AllowAllGreen {
-		return errors.New("ledring: all-green display not enabled (no consensus, §II)")
-	}
-	r.mode = ModeAllGreen
-	r.refresh()
-	return nil
 }
 
 // LEDs returns a copy of the current LED colours. Index 0 is the LED at the
@@ -250,10 +237,6 @@ func normDeg(d float64) float64 {
 	return d
 }
 
-// Heading returns the displayed flight direction (meaningful in
-// ModeNavigation).
-func (r *Ring) Heading() geom.Heading { return r.heading }
-
 // StartVertical begins the take-off (bottom→top) or landing (top→bottom)
 // animation on the vertical array. It returns an error when the array is
 // absent.
@@ -265,14 +248,6 @@ func (r *Ring) StartVertical(dir VerticalDir) error {
 	r.vertPhase = 0
 	r.stepVerticalPattern()
 	return nil
-}
-
-// StopVertical extinguishes the vertical array.
-func (r *Ring) StopVertical() {
-	r.vertDir = VerticalOff
-	for i := range r.vert {
-		r.vert[i] = false
-	}
 }
 
 // TickVertical advances the animation one step.

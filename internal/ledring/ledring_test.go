@@ -1,6 +1,7 @@
 package ledring
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -13,8 +14,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LEDCount() != DefaultLEDCount {
-		t.Fatalf("LED count = %d", r.LEDCount())
+	if r.opts.LEDCount != DefaultLEDCount {
+		t.Fatalf("LED count = %d", r.opts.LEDCount)
 	}
 	// Safety default: danger (all red), per §II and the red-danger
 	// association the paper cites.
@@ -98,7 +99,7 @@ func TestNavigationSectors(t *testing.T) {
 
 func TestNavigationRotatesWithHeading(t *testing.T) {
 	r, _ := New(Options{})
-	r.SetNavigation(geom.East) // 90°: pattern rotates by 2.5 LEDs
+	r.SetNavigation(geom.Heading(math.Pi / 2)) // 90°: pattern rotates by 2.5 LEDs
 	leds := r.LEDs()
 	// LED 3 is at 108°, rel = 18° → green; LED 0 at rel 270° → red.
 	if leds[3] != Green {
@@ -286,7 +287,7 @@ func TestPulsePatterns(t *testing.T) {
 	if err := r.StartPulse(PulseTakeOff); err != nil {
 		t.Fatal(err)
 	}
-	if r.Pulse() != PulseTakeOff {
+	if r.pulse != PulseTakeOff {
 		t.Fatal("pulse not active")
 	}
 	frameA := r.LEDs()
@@ -330,7 +331,7 @@ func TestPulsePatterns(t *testing.T) {
 	}
 
 	r.StopPulse()
-	if r.Pulse() != PulseNone {
+	if r.pulse != PulseNone {
 		t.Fatal("pulse not stopped")
 	}
 	if !IsDanger(r.LEDs()) {
@@ -365,4 +366,28 @@ func TestPulseStrings(t *testing.T) {
 			t.Fatal("empty pulse string")
 		}
 	}
+}
+
+// SetAllGreen switches to the all-green display if allowed by Options.
+func (r *Ring) SetAllGreen() error {
+	if !r.opts.AllowAllGreen {
+		return errors.New("ledring: all-green display not enabled (no consensus, §II)")
+	}
+	r.mode = ModeAllGreen
+	r.refresh()
+	return nil
+}
+
+// StopVertical extinguishes the vertical array.
+func (r *Ring) StopVertical() {
+	r.vertDir = VerticalOff
+	for i := range r.vert {
+		r.vert[i] = false
+	}
+}
+
+// StopPulse ends the pulse and restores the danger default.
+func (r *Ring) StopPulse() {
+	r.pulse = PulseNone
+	r.SetDanger()
 }

@@ -61,21 +61,9 @@ func detectionThresholdLux(ambientLux float64) float64 {
 	return dark * (1 + math.Sqrt(ambientLux)*50)
 }
 
-// VisibilityRangeM returns the distance (meters) at which a single LED of
-// the ring remains detectable: inverse-square falloff of the LED's
-// intensity against the ambient-dependent detection threshold.
-func VisibilityRangeM(p PhotometricParams) (float64, error) {
-	p, err := p.withDefaults()
-	if err != nil {
-		return 0, err
-	}
-	threshold := detectionThresholdLux(p.AmbientLux) * p.ContrastThreshold
-	// E = I / d²  ⇒  d = sqrt(I / E_threshold).
-	return math.Sqrt(p.IntensityCd / threshold), nil
-}
-
-// RequiredIntensityCd inverts VisibilityRangeM: the luminous intensity one
-// LED needs to stay detectable at rangeM under the given ambient light.
+// RequiredIntensityCd inverts the inverse-square detection range: the
+// luminous intensity one LED needs to stay detectable at rangeM under the
+// given ambient light.
 func RequiredIntensityCd(rangeM float64, ambientLux, contrastThreshold float64) (float64, error) {
 	if rangeM <= 0 {
 		return 0, errors.New("ledring: range must be positive")

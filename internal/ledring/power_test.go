@@ -152,3 +152,16 @@ func TestPhotometricValidation(t *testing.T) {
 		t.Fatal("negative ambient should fail")
 	}
 }
+
+// VisibilityRangeM returns the distance (meters) at which a single LED of
+// the ring remains detectable: inverse-square falloff of the LED's
+// intensity against the ambient-dependent detection threshold.
+func VisibilityRangeM(p PhotometricParams) (float64, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return 0, err
+	}
+	threshold := detectionThresholdLux(p.AmbientLux) * p.ContrastThreshold
+	// E = I / d²  ⇒  d = sqrt(I / E_threshold).
+	return math.Sqrt(p.IntensityCd / threshold), nil
+}

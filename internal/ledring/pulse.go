@@ -67,13 +67,6 @@ func (r *Ring) StartPulse(p Pulse) error {
 	return nil
 }
 
-// StopPulse ends the pulse and restores the danger default (the caller
-// switches to navigation when cruising begins).
-func (r *Ring) StopPulse() {
-	r.pulse = PulseNone
-	r.SetDanger()
-}
-
 // TickPulse advances the pulse animation one half-period.
 func (r *Ring) TickPulse() {
 	if r.pulse == PulseNone {
@@ -82,9 +75,6 @@ func (r *Ring) TickPulse() {
 	r.pulsePhase++
 	r.applyPulse()
 }
-
-// Pulse returns the active pulse pattern.
-func (r *Ring) Pulse() Pulse { return r.pulse }
 
 func (r *Ring) applyPulse() {
 	colors, err := pulseColors(r.pulse)

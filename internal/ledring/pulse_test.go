@@ -107,7 +107,7 @@ func TestStartPulseValidationTable(t *testing.T) {
 					t.Fatalf("StartPulse(%v) accepted", tc.pulse)
 				}
 				// A rejected pulse must leave the safety default untouched.
-				if r.Pulse() != PulseNone || !IsDanger(r.LEDs()) {
+				if r.pulse != PulseNone || !IsDanger(r.LEDs()) {
 					t.Fatalf("rejected pulse disturbed the display: %v", r.LEDs())
 				}
 				return
@@ -115,8 +115,8 @@ func TestStartPulseValidationTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StartPulse(%v): %v", tc.pulse, err)
 			}
-			if r.Pulse() != tc.pulse {
-				t.Fatalf("active pulse %v, want %v", r.Pulse(), tc.pulse)
+			if r.pulse != tc.pulse {
+				t.Fatalf("active pulse %v, want %v", r.pulse, tc.pulse)
 			}
 		})
 	}

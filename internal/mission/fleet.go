@@ -25,7 +25,7 @@ import (
 // to it, so each drone's conversation perception draws on the same workers
 // through its own bounded camera ring — idle capacity flows to whichever
 // drone is negotiating, the per-stream window bounds any one drone's share,
-// and with core.WithPerceptionDeadline a drone that falls behind sheds
+// and with a perception deadline a drone that falls behind sheds
 // frames at its own ring instead of starving the rest. NewFleet remains the
 // private-pools-per-drone constructor for callers that want isolation.
 
@@ -114,10 +114,6 @@ func NewPooledFleet(n int, world *orchard.Orchard, cfg Config,
 	f.pool = pool
 	return f, nil
 }
-
-// Pool returns the fleet-shared recognition pool, or nil for a fleet whose
-// drones own private pools.
-func (f *Fleet) Pool() *pipeline.Pipeline { return f.pool }
 
 // PoolStats snapshots the fleet pool's occupancy with its per-drone
 // attribution (streams, frames recognised, ingest sheds). shared is false —

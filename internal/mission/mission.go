@@ -154,17 +154,6 @@ func twoOpt(start geom.Vec2, route []*orchard.Trap) {
 	}
 }
 
-// RouteLength measures a tour's ground length from start.
-func RouteLength(start geom.Vec2, route []*orchard.Trap) float64 {
-	var total float64
-	cur := start
-	for _, t := range route {
-		total += cur.Dist(t.Pos)
-		cur = t.Pos
-	}
-	return total
-}
-
 // Run executes the mission over all currently unread traps and returns the
 // report. Safety aborts end the mission early (report reflects partial
 // progress).

@@ -182,3 +182,14 @@ func TestRouteLength(t *testing.T) {
 		t.Fatal("empty route should be 0")
 	}
 }
+
+// RouteLength measures a tour's ground length from start.
+func RouteLength(start geom.Vec2, route []*orchard.Trap) float64 {
+	var total float64
+	cur := start
+	for _, t := range route {
+		total += cur.Dist(t.Pos)
+		cur = t.Pos
+	}
+	return total
+}

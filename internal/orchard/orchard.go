@@ -246,19 +246,6 @@ func (o *Orchard) UnreadTraps() []*Trap {
 	return out
 }
 
-// ActionTraps returns traps at or above the pest threshold.
-func (o *Orchard) ActionTraps(threshold int) []*Trap {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var out []*Trap
-	for _, t := range o.Traps {
-		if t.NeedsAction(threshold) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ReadActionCount counts traps that have been read and sit at or above the
 // pest threshold — the mission report's "needs spraying" figure, computed
 // under the world lock so concurrent missions can report while others fly.

@@ -76,7 +76,13 @@ func TestStepAccumulatesPests(t *testing.T) {
 	if total < 1000 || total > 3000 {
 		t.Fatalf("pest total %d far from expectation 1920", total)
 	}
-	if len(o.ActionTraps(1)) == 0 {
+	actionable := 0
+	for _, tr := range o.Traps {
+		if tr.NeedsAction(1) {
+			actionable++
+		}
+	}
+	if actionable == 0 {
 		t.Fatal("no trap crossed threshold 1")
 	}
 }

@@ -70,9 +70,6 @@ func (p *Pipeline) Attach(label string) (*Owner, error) {
 // Label returns the name this owner carries in Stats.
 func (o *Owner) Label() string { return o.label }
 
-// Pipeline returns the pool this owner is attached to.
-func (o *Owner) Pipeline() *Pipeline { return o.p }
-
 // NewStream opens an ordered recognition stream attributed to this owner; it
 // behaves exactly like Pipeline.NewStream otherwise. It fails with ErrClosed
 // once the owner has detached or the pipeline has closed.
@@ -87,15 +84,21 @@ func (o *Owner) NewProcStream(proc Proc) (*Stream, error) {
 	return o.p.registerOwned(proc, o)
 }
 
-// RecognizeBatch is Pipeline.RecognizeBatch on a stream attributed to this
-// owner, so batch traffic shows up in the owner's frame counts.
-func (o *Owner) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	return recognizeBatchContext(context.Background(), o.NewStream, frames, nil)
-}
-
-// RecognizeBatchContext is Pipeline.RecognizeBatchContext on a stream
-// attributed to this owner; see that method for the deadline and frame
-// ownership contract.
+// RecognizeBatchContext pushes a batch of frames through the pool on a
+// private stream attributed to this owner and returns the results in input
+// order, with one error slot per frame (nil for an accepted sign,
+// recognizer.ErrNoSign or a vision error otherwise). When ctx expires
+// mid-batch the call returns promptly with the results completed so far,
+// the remaining slots' errors set to ctx.Err(), and the stream abandoned so
+// in-flight frames drain in the background.
+//
+// Because frames may still be under a worker when the deadline fires, the
+// caller must hand ownership of every frame to the call: recycle (which may
+// be nil) is invoked exactly once per frame — synchronously for delivered
+// results and never-submitted frames, from the drain goroutine for frames
+// dropped by the abandon — and the caller must not touch the frames after
+// the call. On a non-nil top-level error no frame was consumed and the
+// caller keeps them all.
 func (o *Owner) RecognizeBatchContext(ctx context.Context, frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
 	return recognizeBatchContext(ctx, o.NewStream, frames, recycle)
 }

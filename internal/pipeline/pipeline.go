@@ -130,9 +130,6 @@ func New(rec *recognizer.Recognizer, cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Config returns the effective configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // Tracer returns the pipeline's per-frame flight recorder: every frame the
 // pool touches stamps its stage boundaries into it, /tracez serves its
 // snapshots, and Disarm/Arm toggle recording at runtime.
@@ -352,37 +349,9 @@ func (p *Pipeline) Close() {
 	p.wg.Wait()
 }
 
-// RecognizeBatch pushes a batch of frames through the pool and returns the
-// results in input order, with one error slot per frame (nil for an accepted
-// sign, recognizer.ErrNoSign or a vision error otherwise). It is the
-// synchronous convenience over a private stream; concurrent batches simply
-// share the pool.
-func (p *Pipeline) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
-	return recognizeBatchContext(context.Background(), p.NewStream, frames, nil)
-}
-
-// RecognizeBatchContext is RecognizeBatch with a deadline and pooled-buffer
-// recycling: when ctx expires mid-batch the call returns promptly with the
-// results completed so far, the remaining slots' errors set to ctx.Err(),
-// and the stream abandoned so in-flight frames drain in the background.
-//
-// Because frames may still be under a worker when the deadline fires, the
-// caller must hand ownership of every frame to the call: recycle (which may
-// be nil) is invoked exactly once per frame — synchronously for delivered
-// results and never-submitted frames, from the drain goroutine for frames
-// dropped by the abandon — and the caller must not touch the frames after
-// the call. On a non-nil top-level error no frame was consumed and the
-// caller keeps them all.
-func (p *Pipeline) RecognizeBatchContext(ctx context.Context, frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
-	return recognizeBatchContext(ctx, p.NewStream, frames, recycle)
-}
-
-// recognizeBatchContext runs the ordered-batch convenience over a private
-// stream from newStream — the one implementation behind RecognizeBatch and
-// RecognizeBatchContext on both Pipeline and Owner, so owner-attributed
-// batches cannot drift from the direct path. With a Done-less ctx and a nil
-// recycle it is the plain batch: SubmitContext then submits exactly as
-// Submit does.
+// recognizeBatchContext runs Owner.RecognizeBatchContext over a private
+// stream from newStream. With a Done-less ctx and a nil recycle it is the
+// plain batch: SubmitContext then submits exactly as Submit does.
 func recognizeBatchContext(ctx context.Context, newStream func() (*Stream, error), frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
 	// Validate up front: a nil frame mid-batch would otherwise break the
 	// index↔sequence correspondence and surface as a misleading ErrClosed.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -375,4 +376,21 @@ func TestEmptyBatch(t *testing.T) {
 	if err != nil || len(results) != 0 || len(errs) != 0 {
 		t.Fatalf("empty batch: %v %v %v", results, errs, err)
 	}
+}
+
+// RecognizeBatch recognises frames in input order on a private stream, with
+// one error slot per frame.
+func (p *Pipeline) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
+	return recognizeBatchContext(context.Background(), p.NewStream, frames, nil)
+}
+
+// RecognizeBatchContext is RecognizeBatch under ctx with frame recycling, as
+// Owner.RecognizeBatchContext serves it.
+func (p *Pipeline) RecognizeBatchContext(ctx context.Context, frames []*raster.Gray, recycle func(*raster.Gray)) ([]recognizer.Result, []error, error) {
+	return recognizeBatchContext(ctx, p.NewStream, frames, recycle)
+}
+
+// RecognizeBatch is Pipeline.RecognizeBatch on a stream attributed to o.
+func (o *Owner) RecognizeBatch(frames []*raster.Gray) ([]recognizer.Result, []error, error) {
+	return o.RecognizeBatchContext(context.Background(), frames, nil)
 }

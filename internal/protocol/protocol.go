@@ -180,9 +180,6 @@ func NewEngine(cfg Config, log *telemetry.Log) *Engine {
 	return &Engine{cfg: cfg.withDefaults(), log: log}
 }
 
-// Log exposes the engine's event log.
-func (e *Engine) Log() *telemetry.Log { return e.log }
-
 // Negotiate runs one full conversation against env and returns its result.
 // Every Env error other than ErrSafetyAbort is propagated; ErrSafetyAbort
 // produces OutcomeAborted with the danger signal raised.

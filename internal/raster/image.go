@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 )
 
@@ -30,22 +29,6 @@ func NewGray(w, h int) (*Gray, error) {
 		return nil, fmt.Errorf("%w: %dx%d", ErrBadSize, w, h)
 	}
 	return &Gray{W: w, H: h, Pix: make([]uint8, w*h)}, nil
-}
-
-// MustGray is NewGray that panics on invalid size; for tests and literals.
-func MustGray(w, h int) *Gray {
-	g, err := NewGray(w, h)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// Clone returns an independent copy.
-func (g *Gray) Clone() *Gray {
-	out := &Gray{W: g.W, H: g.H, Pix: make([]uint8, len(g.Pix))}
-	copy(out.Pix, g.Pix)
-	return out
 }
 
 // Reset resizes g to w×h, reusing the pixel buffer when its capacity allows,
@@ -89,14 +72,6 @@ func (g *Gray) Resize(w, h int) error {
 // In reports whether (x, y) lies inside the image.
 func (g *Gray) In(x, y int) bool { return x >= 0 && x < g.W && y >= 0 && y < g.H }
 
-// At returns the pixel at (x, y), or 0 outside the image.
-func (g *Gray) At(x, y int) uint8 {
-	if !g.In(x, y) {
-		return 0
-	}
-	return g.Pix[y*g.W+x]
-}
-
 // Set writes the pixel at (x, y); writes outside the image are ignored.
 func (g *Gray) Set(x, y int, v uint8) {
 	if g.In(x, y) {
@@ -109,26 +84,6 @@ func (g *Gray) Fill(v uint8) {
 	for i := range g.Pix {
 		g.Pix[i] = v
 	}
-}
-
-// Mean returns the mean pixel intensity.
-func (g *Gray) Mean() float64 {
-	var sum int64
-	for _, p := range g.Pix {
-		sum += int64(p)
-	}
-	return float64(sum) / float64(len(g.Pix))
-}
-
-// CountAbove returns how many pixels exceed t.
-func (g *Gray) CountAbove(t uint8) int {
-	var n int
-	for _, p := range g.Pix {
-		if p > t {
-			n++
-		}
-	}
-	return n
 }
 
 // Histogram returns the 256-bin intensity histogram.
@@ -348,58 +303,6 @@ func (g *Gray) AddSaltPepper(rng *rand.Rand, frac float64) {
 			g.Pix[idx] = 255
 		}
 	}
-}
-
-// Downsample returns the image reduced by an integer factor using box
-// averaging. factor <= 1 returns a clone.
-func (g *Gray) Downsample(factor int) *Gray {
-	if factor <= 1 {
-		return g.Clone()
-	}
-	w := g.W / factor
-	h := g.H / factor
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	out := &Gray{W: w, H: h, Pix: make([]uint8, w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum, cnt int
-			for dy := 0; dy < factor; dy++ {
-				for dx := 0; dx < factor; dx++ {
-					sx, sy := x*factor+dx, y*factor+dy
-					if sx < g.W && sy < g.H {
-						sum += int(g.Pix[sy*g.W+sx])
-						cnt++
-					}
-				}
-			}
-			out.Pix[y*w+x] = uint8(sum / cnt)
-		}
-	}
-	return out
-}
-
-// ASCII renders the image as character art (one char per cell after
-// downsampling to at most maxW columns), for terminal diagnostics.
-func (g *Gray) ASCII(maxW int) string {
-	img := g
-	if maxW > 0 && g.W > maxW {
-		img = g.Downsample((g.W + maxW - 1) / maxW)
-	}
-	const ramp = " .:-=+*#%@"
-	var sb strings.Builder
-	for y := 0; y < img.H; y += 2 { // chars are ~2:1 tall
-		for x := 0; x < img.W; x++ {
-			v := int(img.Pix[y*img.W+x])
-			sb.WriteByte(ramp[v*(len(ramp)-1)/255])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 func clampU8(v float64) uint8 {

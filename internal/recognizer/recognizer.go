@@ -105,12 +105,12 @@ type Result struct {
 
 // Recognizer binds a SAX database of reference signs to the vision
 // pipeline. Build one with New and populate it with BuildReferences (or
-// AddReference for custom exemplars).
+// LoadReferences, or UseDictionary for an external store).
 //
 // Concurrency: the configuration is immutable after New, and the reference
 // database guards itself, so Recognize and RecognizeWith may be
 // called from any number of goroutines once the references are built. The
-// setup calls — BuildReferences, AddReference, LoadReferences — must complete
+// setup calls — BuildReferences, LoadReferences, UseDictionary — must complete
 // before (or be externally serialised with) concurrent recognition.
 type Recognizer struct {
 	cfg  Config
@@ -212,14 +212,6 @@ func signFor(label string) (body.Sign, bool) {
 		}
 	}
 	return 0, false
-}
-
-// AddReference registers a raw reference signature under a sign label.
-func (r *Recognizer) AddReference(s body.Sign, sig timeseries.Series) error {
-	if !s.Valid() {
-		return fmt.Errorf("recognizer: invalid sign %d", int(s))
-	}
-	return r.dict.Add(labelFor(s), sig)
 }
 
 // ReferenceAzimuths are the relative azimuths at which BuildReferences
@@ -440,7 +432,7 @@ func (r *Recognizer) RecognizeView(rend *scene.Renderer, s body.Sign, v scene.Vi
 // SaveReferences serialises the reference database (see sax.Database.Save):
 // build the dictionary once on the ground station, ship it to drones. Only
 // the in-memory backend can be saved; store-backed recognizers ship the
-// store directory instead (store.Snapshot.CopyTo).
+// store directory instead.
 func (r *Recognizer) SaveReferences(w io.Writer) error {
 	if r.db == nil {
 		return errors.New("recognizer: external dictionary in use; save the store directory instead")

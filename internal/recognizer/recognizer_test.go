@@ -3,6 +3,7 @@ package recognizer
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,8 +70,8 @@ func TestRecognizeAllSignsAtReference(t *testing.T) {
 		if res.Match.Dist > 0.5 {
 			t.Errorf("%v self distance %v too large", s, res.Match.Dist)
 		}
-		if res.Word.Len() != rec.Config().Segments {
-			t.Errorf("word length %d", res.Word.Len())
+		if len(res.Word.Symbols) != rec.Config().Segments {
+			t.Errorf("word length %d", len(res.Word.Symbols))
 		}
 	}
 }
@@ -117,7 +118,10 @@ func TestPaperAzimuthEnvelope(t *testing.T) {
 
 func TestRecognizeEmptyFrame(t *testing.T) {
 	rec, _ := newCalibrated(t)
-	blank := raster.MustGray(64, 64)
+	blank, err := raster.NewGray(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blank.Fill(200)
 	if _, err := rec.Recognize(blank); err == nil {
 		t.Fatal("blank frame should fail")
@@ -338,7 +342,7 @@ func TestRecognitionLatencyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return vision.OtsuBinarize(img).Count()
+		return foreground(vision.OtsuBinarize(img))
 	}
 	if a0, a65 := area(0), area(65); a65 >= a0 {
 		t.Fatalf("65° silhouette (%d px) should be smaller than 0° (%d px)", a65, a0)
@@ -410,7 +414,13 @@ func TestRecognizeWithBystander(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bystander = bystander.Translate(geom.V3(2.5, 2.0, 0))
+	// Place the bystander: shift every joint by the offset.
+	off := geom.V3(2.5, 2.0, 0)
+	bystander.HeadCenter = bystander.HeadCenter.Add(off)
+	for i := range bystander.Capsules {
+		c := &bystander.Capsules[i]
+		c.A, c.B = c.A.Add(off), c.B.Add(off)
+	}
 	frame, err := rend.RenderFigures([]body.Figure{signaller, bystander}, scene.ReferenceView(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -506,17 +516,46 @@ func TestConfidenceIgnoresSameSignExemplars(t *testing.T) {
 	for i := range q {
 		q[i] += 0.01 * rng.NormFloat64()
 	}
-	matches, err := rec.Database().LookupK(q, 4, nil)
+	db := rec.Database()
+	rs, err := q.ResampleLinear(db.SeriesLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := rs.ZNormalize()
+	qw, err := db.Encoder().Encode(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := db.LookupKZWith(nil, z, qw, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if matches[0].Label != "Yes" || matches[1].Label != "Yes" {
 		t.Fatalf("setup broken: top-2 = %s, %s", matches[0].Label, matches[1].Label)
 	}
-	if _, rel := sax.Margin(matches); rel > 0.9 {
+	if rel := (matches[1].Dist - matches[0].Dist) / matches[1].Dist; rel > 0.9 {
 		t.Fatalf("setup broken: raw runner-up margin %v not deflated", rel)
 	}
 	if _, rel := sax.RivalMargin(matches); rel < 0.5 {
 		t.Fatalf("rival margin %v deflated by same-sign exemplars", rel)
 	}
+}
+
+// AddReference registers a raw reference signature under a sign label.
+func (r *Recognizer) AddReference(s body.Sign, sig timeseries.Series) error {
+	if !s.Valid() {
+		return fmt.Errorf("recognizer: invalid sign %d", int(s))
+	}
+	return r.dict.Add(labelFor(s), sig)
+}
+
+// foreground counts a mask's foreground pixels.
+func foreground(b *vision.Binary) int {
+	n := 0
+	for _, p := range b.Pix {
+		if p != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -84,12 +84,28 @@ func TestUseDictionaryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Create(t.TempDir()+"/s", enc, 128, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := emptyStore(t, enc)
 	defer st.Close()
 	if err := rec.UseDictionary(st); err == nil {
 		t.Fatal("mismatched dictionary parameters should be rejected")
 	}
+}
+
+// emptyStore creates an empty store under t's temp dir through the bulk
+// builder and opens it.
+func emptyStore(t *testing.T, enc *sax.Encoder) *store.Store {
+	t.Helper()
+	dir := t.TempDir() + "/s"
+	b, err := store.NewBuilder(dir, enc, 128, store.BuilderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

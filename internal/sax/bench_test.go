@@ -54,7 +54,7 @@ func BenchmarkMinDistRotationMirror(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := enc.MinDistRotationMirror(w1, w2, 128); err != nil {
+		if _, _, _, err := enc.MinDistRotationMirrorWindow(w1, w2, 128, -1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,10 +104,10 @@ func copies(rng *rand.Rand, base timeseries.Series) []timeseries.Series {
 		base.Clone(),
 		base.Rotate(aligned),
 		base.Rotate(unaligned),
-		base.Reverse(),
-		base.Reverse().Rotate(-1),
-		base.Reverse().Rotate(aligned),
-		base.Reverse().Rotate(unaligned),
+		reversed(base),
+		reversed(base).Rotate(-1),
+		reversed(base).Rotate(aligned),
+		reversed(base).Rotate(unaligned),
 		perturb(rng, base, 1e-9),
 	}
 }
@@ -129,6 +129,15 @@ func diffFamily(rng *rand.Rand) (dict, queries []timeseries.Series) {
 	return dict, queries
 }
 
+// reversed returns s in reverse order: the mirrored signature.
+func reversed(s timeseries.Series) timeseries.Series {
+	out := make(timeseries.Series, len(s))
+	for i, v := range s {
+		out[len(s)-1-i] = v
+	}
+	return out
+}
+
 // lookuper is the LookupKZWith surface the Database and the Store share.
 type lookuper interface {
 	LookupKZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.Word, k int, dst []sax.Match) ([]sax.Match, error)
@@ -141,9 +150,10 @@ type backends struct {
 	st *store.Store
 }
 
-// newBackends adds dict, entry i labelled label(i), to both backends,
-// sealing the store at a third and at two thirds of the way.
-func newBackends(t testing.TB, dict []timeseries.Series, label func(int) string) backends {
+// newBackends adds dict, entry i labelled label(i), to both backends under
+// the rotation window frac, sealing the store at a third and at two thirds
+// of the way.
+func newBackends(t testing.TB, dict []timeseries.Series, label func(int) string, frac float64) backends {
 	t.Helper()
 	enc, err := sax.NewEncoder(16, 6)
 	if err != nil {
@@ -153,7 +163,16 @@ func newBackends(t testing.TB, dict []timeseries.Series, label func(int) string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Create(filepath.Join(t.TempDir(), "st"), enc, diffN, store.Options{})
+	db.SetShiftWindowFrac(frac)
+	dir := filepath.Join(t.TempDir(), "st")
+	bl, err := store.NewBuilder(dir, enc, diffN, store.BuilderOptions{ShiftFrac: frac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +194,6 @@ func newBackends(t testing.TB, dict []timeseries.Series, label func(int) string)
 		t.Fatalf("store layout %+v: want two segments and a tail", sts)
 	}
 	return backends{db: db, st: st}
-}
-
-// setShiftWindowFrac sets the rotation window on both backends.
-func (b backends) setShiftWindowFrac(frac float64) {
-	b.db.SetShiftWindowFrac(frac)
-	b.st.SetShiftWindowFrac(frac)
 }
 
 // sameMatch reports whether two matches agree in every field, distances by
@@ -275,9 +288,8 @@ func TestCascadeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1901))
 	for round := 0; round < 4; round++ {
 		dict, queries := diffFamily(rng)
-		b := newBackends(t, dict, signLabel)
 		for _, frac := range []float64{0, 0.15} {
-			b.setShiftWindowFrac(frac)
+			b := newBackends(t, dict, signLabel, frac)
 			b.requireAgreement(t, fmt.Sprintf("round=%d frac=%v", round, frac), queries, 1, 2, 4, 16)
 		}
 	}
@@ -293,9 +305,8 @@ func TestStoreCascadeMatchesReference(t *testing.T) {
 			d, q := diffFamily(rng)
 			dict, queries = append(dict, d...), append(queries, q...)
 		}
-		b := newBackends(t, dict, signLabel)
 		for _, frac := range []float64{0, 0.15} {
-			b.setShiftWindowFrac(frac)
+			b := newBackends(t, dict, signLabel, frac)
 			b.requireAgreement(t, fmt.Sprintf("store round=%d frac=%v", round, frac), queries, 1, 4)
 		}
 	}
@@ -322,7 +333,7 @@ func TestCascadeMatchesLinearNearDuplicates(t *testing.T) {
 			return fmt.Sprintf("sign-%d", i)
 		}
 		return fmt.Sprintf("sign-%d", i%len(refs))
-	})
+	}, 0)
 	queries := make([]timeseries.Series, 48)
 	for i := range queries {
 		q := smoothWave(rng, refs[rng.Intn(len(refs))], 2.0).Rotate(unalignedShift(rng, diffN))
@@ -350,14 +361,14 @@ func TestCascadeMatchesLinearNoisyCopies(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			dict = append(dict, smoothShape(rng, diffN))
 		}
-		b := newBackends(t, dict, signLabel)
+		b := newBackends(t, dict, signLabel, 0)
 		var queries []timeseries.Series
 		for _, noise := range []float64{1e-3, 3e-3, 1e-2, 5e-2} {
 			for _, base := range bases {
 				s := unalignedShift(rng, diffN)
 				queries = append(queries,
 					perturb(rng, base.Rotate(s), noise),
-					perturb(rng, base.Reverse().Rotate(s), noise))
+					perturb(rng, reversed(base).Rotate(s), noise))
 			}
 		}
 		b.requireAgreement(t, fmt.Sprintf("round=%d", round), queries, 1, 3)
@@ -370,7 +381,7 @@ func TestCascadeMatchesLinearNoisyCopies(t *testing.T) {
 func TestLookupStatsAccountForEveryEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(1903))
 	dict, queries := diffFamily(rng)
-	b := newBackends(t, dict, signLabel)
+	b := newBackends(t, dict, signLabel, 0)
 	sc := sax.NewLookupScratch()
 	var buf []sax.Match
 	specPruned := 0
@@ -416,9 +427,9 @@ func FuzzCascadeMatchesLinear(f *testing.F) {
 		dict := []timeseries.Series{
 			base.Clone(),
 			perturb(rng, base.Rotate(s), scale),
-			perturb(rng, base.Reverse().Rotate(s), scale),
+			perturb(rng, reversed(base).Rotate(s), scale),
 			perturb(rng, base.Rotate(unalignedShift(rng, diffN)), scale),
-			perturb(rng, base.Reverse().Rotate(-1), scale),
+			perturb(rng, reversed(base).Rotate(-1), scale),
 			smoothWave(rng, base, 1.5),
 			smoothShape(rng, diffN),
 			smoothShape(rng, diffN),
@@ -426,11 +437,10 @@ func FuzzCascadeMatchesLinear(f *testing.F) {
 		}
 		q := base.Rotate(s + 1)
 		if mirror {
-			q = base.Reverse().Rotate(s + 1)
+			q = reversed(base).Rotate(s + 1)
 		}
 		q = perturb(rng, q, scale)
-		b := newBackends(t, dict, signLabel)
-		b.setShiftWindowFrac([]float64{0, 0.15, 0.5}[int(frac)%3])
+		b := newBackends(t, dict, signLabel, []float64{0, 0.15, 0.5}[int(frac)%3])
 		msg, err := b.differ(sax.NewLookupScratch(), q, 1, 2, 4)
 		if err != nil {
 			t.Fatal(err)

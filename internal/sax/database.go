@@ -240,58 +240,15 @@ func (db *Database) LookupZWith(sc *LookupScratch, z timeseries.Series, qw Word,
 	return LookupZOn(db, sc, z, qw, threshold)
 }
 
-// LookupK returns the (up to) k nearest entries to the query series under
-// the exact rotation/mirror-invariant distance, closest first, written into
-// dst (dst is reused from the start: its existing contents are discarded,
-// its capacity avoids the allocation). No threshold is applied: the
-// runner-up distances feed confidence margins (see Margin/RivalMargin),
-// which need the rejected neighbours too.
-func (db *Database) LookupK(q timeseries.Series, k int, dst []Match) ([]Match, error) {
-	rs, err := q.ResampleLinear(db.n)
-	if err != nil {
-		return dst[:0], err
-	}
-	z := rs.ZNormalize()
-	qw, err := db.enc.Encode(z)
-	if err != nil {
-		return dst[:0], err
-	}
-	sc := lookupScratchPool.Get().(*LookupScratch)
-	defer lookupScratchPool.Put(sc)
-	return db.LookupKZWith(sc, z, qw, k, dst)
-}
-
-// Margin reports the separation between the best match and its runner-up:
-// the absolute distance gap and the relative margin (gap divided by the
-// runner-up distance, clamped to [0,1]) that the recogniser exposes as match
-// confidence. A single-entry result has no competing candidate and yields a
-// full margin of 1.
-func Margin(matches []Match) (abs, rel float64) {
-	if len(matches) == 0 {
-		return 0, 0
-	}
-	if len(matches) == 1 {
-		return math.Inf(1), 1
-	}
-	abs = matches[1].Dist - matches[0].Dist
-	if matches[1].Dist > 0 {
-		rel = abs / matches[1].Dist
-	}
-	if rel < 0 {
-		rel = 0
-	}
-	if rel > 1 {
-		rel = 1
-	}
-	return abs, rel
-}
-
-// RivalMargin is Margin measured against the nearest *rival* — the closest
-// candidate whose label differs from the winner's — rather than the raw
-// runner-up. With several exemplars per sign (the fleet-dictionary layout),
-// the runner-up of a clean capture is usually another exemplar of the same
-// sign at a tiny distance, which would wrongly read as an ambiguous match;
-// what confidence should measure is how clearly the winning *label* beat the
+// RivalMargin reports how clearly the best match beat the nearest *rival*,
+// the closest candidate whose label differs from the winner's: the absolute
+// distance gap and the relative margin (gap divided by the rival distance,
+// clamped to [0,1]) that the recogniser exposes as match confidence. A
+// single-entry result has no competitor and yields a full margin of 1. With
+// several exemplars per sign (the fleet-dictionary layout), the raw
+// runner-up of a clean capture is usually another exemplar of the same sign
+// at a tiny distance, which would wrongly read as an ambiguous match; what
+// confidence should measure is how clearly the winning *label* beat the
 // competing labels. When every candidate in matches shares the winner's
 // label, the farthest one's distance is used as a conservative lower bound
 // on the true rival distance (the real rival, if any, lies beyond the

@@ -62,8 +62,8 @@ func queryVariants(rng *rand.Rand, base timeseries.Series, n int) []timeseries.S
 	return []timeseries.Series{
 		base,
 		base.Rotate(rot),
-		base.Reverse(),
-		base.Reverse().Rotate(rot),
+		reversed(base),
+		reversed(base).Rotate(rot),
 		noisy,
 		randSmoothSeries(rng, n),
 	}
@@ -153,20 +153,5 @@ func TestLookupKMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLookupKMargin sanity-checks the confidence margin helper.
-func TestLookupKMargin(t *testing.T) {
-	if abs, rel := Margin(nil); abs != 0 || rel != 0 {
-		t.Fatalf("empty margin = (%v, %v)", abs, rel)
-	}
-	one := []Match{{Dist: 2}}
-	if abs, rel := Margin(one); !math.IsInf(abs, 1) || rel != 1 {
-		t.Fatalf("single margin = (%v, %v)", abs, rel)
-	}
-	two := []Match{{Dist: 1}, {Dist: 4}}
-	if abs, rel := Margin(two); abs != 3 || rel != 0.75 {
-		t.Fatalf("margin = (%v, %v)", abs, rel)
 	}
 }

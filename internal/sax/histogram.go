@@ -116,14 +116,3 @@ func (e *Encoder) HistLowerBoundRaw(qh, eh []uint16, n int) float64 {
 // The on-disk store precomputes these at build time into its segment files'
 // prune-index block.
 func HistogramOf(w Word) []uint16 { return histOf(w) }
-
-// HistLowerBound is the exported form of the stage-0 bound for two words
-// (diagnostics and tests); the database keeps per-entry histograms so its
-// degraded-mode scan never re-derives them.
-func (e *Encoder) HistLowerBound(w, v Word, n int) (float64, error) {
-	if w.Alphabet != e.alphabet || v.Alphabet != e.alphabet ||
-		len(w.Symbols) != e.segments || len(v.Symbols) != e.segments {
-		return 0, ErrWordMismatch
-	}
-	return e.histLowerBound(histOf(w), histOf(v), n), nil
-}

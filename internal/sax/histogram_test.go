@@ -103,3 +103,13 @@ func TestHistLowerBoundMismatch(t *testing.T) {
 		t.Fatal("alphabet mismatch should fail")
 	}
 }
+
+// HistLowerBound is the stage-0 bound for two words, with the word-shape
+// check the degraded scan's callers make before it.
+func (e *Encoder) HistLowerBound(w, v Word, n int) (float64, error) {
+	if w.Alphabet != e.alphabet || v.Alphabet != e.alphabet ||
+		len(w.Symbols) != e.segments || len(v.Symbols) != e.segments {
+		return 0, ErrWordMismatch
+	}
+	return e.histLowerBound(histOf(w), histOf(v), n), nil
+}

@@ -134,8 +134,8 @@ func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
 // z-normalised series z, its word qw), closest first, written into dst. dst
 // is reused from the start — its existing contents are discarded — and
 // capacity ≥ k makes the call allocation-free in steady state. No threshold
-// is applied (see LookupK). The scratch must not be shared between
-// concurrent lookups.
+// is applied: the runner-up distances feed RivalMargin. The scratch must not
+// be shared between concurrent lookups.
 func (db *Database) LookupKZWith(sc *LookupScratch, z timeseries.Series, qw Word, k int, dst []Match) ([]Match, error) {
 	wordWin, seriesWin := db.params()
 	return CascadeLookupKZ(sc, &db.corpus, db.enc, db.n, wordWin, seriesWin, z, qw, k, dst)

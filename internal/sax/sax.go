@@ -59,33 +59,6 @@ type Word struct {
 // String implements fmt.Stringer.
 func (w Word) String() string { return w.Symbols }
 
-// Len returns the number of symbols in the word.
-func (w Word) Len() int { return len(w.Symbols) }
-
-// Equal reports whether two words are identical in symbols and alphabet.
-func (w Word) Equal(v Word) bool {
-	return w.Alphabet == v.Alphabet && w.Symbols == v.Symbols
-}
-
-// Rotate returns the word circularly shifted left by k symbols.
-func (w Word) Rotate(k int) Word {
-	n := len(w.Symbols)
-	if n == 0 {
-		return w
-	}
-	k = ((k % n) + n) % n
-	return Word{Symbols: w.Symbols[k:] + w.Symbols[:k], Alphabet: w.Alphabet}
-}
-
-// Reverse returns the mirrored word.
-func (w Word) Reverse() Word {
-	b := []byte(w.Symbols)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return Word{Symbols: string(b), Alphabet: w.Alphabet}
-}
-
 // Encoder converts raw series into SAX words using fixed parameters. The
 // zero value is not usable; construct with NewEncoder.
 type Encoder struct {
@@ -220,38 +193,11 @@ func (e *Encoder) EncodePAA(paa timeseries.Series) Word {
 	return Word{Symbols: sb.String(), Alphabet: e.alphabet}
 }
 
-// MinDist returns the MINDIST lower bound between two words produced by this
-// encoder, for original series length n. MINDIST is guaranteed to
-// lower-bound the Euclidean distance between the z-normalised originals,
-// which is what makes SAX pruning safe.
-func (e *Encoder) MinDist(w, v Word, n int) (float64, error) {
-	if w.Alphabet != e.alphabet || v.Alphabet != e.alphabet ||
-		len(w.Symbols) != e.segments || len(v.Symbols) != e.segments {
-		return 0, ErrWordMismatch
-	}
-	if n < e.segments {
-		n = e.segments
-	}
-	var ss float64
-	for i := 0; i < e.segments; i++ {
-		d := e.cells[w.Symbols[i]-'a'][v.Symbols[i]-'a']
-		ss += d * d
-	}
-	return math.Sqrt(float64(n)/float64(e.segments)) * math.Sqrt(ss), nil
-}
-
-// MinDistRotation returns the minimum MINDIST over all circular rotations of
-// v, along with the minimising rotation. Word-level rotation is the cheap
-// first-stage filter for rotation-invariant shape lookup; exact alignment is
-// then confirmed at series level (timeseries.MinRotationDist, or its
-// prepared form timeseries.Aligner in the lookup cascade).
-func (e *Encoder) MinDistRotation(w, v Word, n int) (best float64, shift int, err error) {
-	return e.MinDistRotationWindow(w, v, n, -1)
-}
-
-// MinDistRotationWindow is MinDistRotation with the rotation search limited
-// to ±maxShift word positions (maxShift < 0 searches all rotations). The
-// rotations are evaluated by index offset, so the search allocates nothing.
+// MinDistRotationWindow returns the minimum MINDIST over the circular
+// rotations of v, with the rotation search limited to ±maxShift word
+// positions (maxShift < 0 searches all rotations), along with the
+// minimising rotation. The rotations are evaluated by index offset, so the
+// search allocates nothing.
 func (e *Encoder) MinDistRotationWindow(w, v Word, n, maxShift int) (best float64, shift int, err error) {
 	return e.minDistRotation(w, v, false, n, maxShift)
 }
@@ -331,14 +277,10 @@ func (e *Encoder) wordDist(w, v Word, n, maxShift int) (float64, error) {
 	return d, nil
 }
 
-// MinDistRotationMirror extends MinDistRotation with the mirrored candidate.
-func (e *Encoder) MinDistRotationMirror(w, v Word, n int) (best float64, shift int, mirrored bool, err error) {
-	return e.MinDistRotationMirrorWindow(w, v, n, -1)
-}
-
-// MinDistRotationMirrorWindow is MinDistRotationMirror with a bounded shift
-// window. As in the series-level matcher, the mirrored word is rotated by
-// one so a pure reflection about the start symbol lies at shift 0.
+// MinDistRotationMirrorWindow extends MinDistRotationWindow with the
+// mirrored candidate. As in the series-level matcher, the mirrored word is
+// rotated by one so a pure reflection about the start symbol lies at shift
+// 0.
 func (e *Encoder) MinDistRotationMirrorWindow(w, v Word, n, maxShift int) (best float64, shift int, mirrored bool, err error) {
 	d1, s1, err := e.MinDistRotationWindow(w, v, n, maxShift)
 	if err != nil {

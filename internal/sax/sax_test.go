@@ -110,8 +110,8 @@ func TestEncodeShortSeriesUpsamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != 8 {
-		t.Fatalf("word length %d, want 8", w.Len())
+	if len(w.Symbols) != 8 {
+		t.Fatalf("word length %d, want 8", len(w.Symbols))
 	}
 }
 
@@ -259,7 +259,7 @@ func TestMinDistRotationFindsAlignment(t *testing.T) {
 	// Rotating the series by a whole number of PAA frames rotates the word.
 	rotated := a.Rotate(8 * 3) // 3 word positions (64/8 = 8 samples per frame)
 	wr, _ := enc.Encode(rotated)
-	d, shift, err := enc.MinDistRotation(wa, wr, 64)
+	d, shift, err := enc.MinDistRotationWindow(wa, wr, 64, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestMinDistRotationMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := randSeries(rng, 64).ZNormalize()
 	wa, _ := enc.Encode(a)
-	wm, _ := enc.Encode(a.Reverse())
-	d, _, mirrored, err := enc.MinDistRotationMirror(wa, wm, 64)
+	wm, _ := enc.Encode(reversed(a))
+	d, _, mirrored, err := enc.MinDistRotationMirrorWindow(wa, wm, 64, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestMinDistRotationMirror(t *testing.T) {
 
 func TestMinDistRotationEmptyWord(t *testing.T) {
 	enc, _ := NewEncoder(4, 4)
-	if _, _, err := enc.MinDistRotation(Word{}, Word{}, 4); err == nil {
+	if _, _, err := enc.MinDistRotationWindow(Word{}, Word{}, 4, -1); err == nil {
 		t.Fatal("empty word should fail")
 	}
 }
@@ -304,4 +304,56 @@ func TestNewEncoderValidation(t *testing.T) {
 	if _, err := NewEncoder(4, 1); err == nil {
 		t.Error("alphabet 1 should fail")
 	}
+}
+
+// MinDist returns the MINDIST lower bound between two words produced by e,
+// for original series length n: the per-shift term the rotation searches
+// minimise.
+func (e *Encoder) MinDist(w, v Word, n int) (float64, error) {
+	if w.Alphabet != e.alphabet || v.Alphabet != e.alphabet ||
+		len(w.Symbols) != e.segments || len(v.Symbols) != e.segments {
+		return 0, ErrWordMismatch
+	}
+	if n < e.segments {
+		n = e.segments
+	}
+	var ss float64
+	for i := 0; i < e.segments; i++ {
+		d := e.cells[w.Symbols[i]-'a'][v.Symbols[i]-'a']
+		ss += d * d
+	}
+	return math.Sqrt(float64(n)/float64(e.segments)) * math.Sqrt(ss), nil
+}
+
+// Equal reports whether two words are identical in symbols and alphabet.
+func (w Word) Equal(v Word) bool {
+	return w.Alphabet == v.Alphabet && w.Symbols == v.Symbols
+}
+
+// Rotate returns the word circularly shifted left by k symbols.
+func (w Word) Rotate(k int) Word {
+	n := len(w.Symbols)
+	if n == 0 {
+		return w
+	}
+	k = ((k % n) + n) % n
+	return Word{Symbols: w.Symbols[k:] + w.Symbols[:k], Alphabet: w.Alphabet}
+}
+
+// Reverse returns the mirrored word.
+func (w Word) Reverse() Word {
+	b := []byte(w.Symbols)
+	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
+		b[i], b[j] = b[j], b[i]
+	}
+	return Word{Symbols: string(b), Alphabet: w.Alphabet}
+}
+
+// reversed returns s in reverse order.
+func reversed(s timeseries.Series) timeseries.Series {
+	out := make(timeseries.Series, len(s))
+	for i, v := range s {
+		out[len(s)-1-i] = v
+	}
+	return out
 }

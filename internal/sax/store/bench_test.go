@@ -146,7 +146,7 @@ func BenchmarkStoreAdd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := Create(dir, enc, 128, Options{})
+	st, err := create(dir, enc, 128, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func buildCrashStore(t *testing.T, dir string, sealed, tail int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	const n = 64
-	st, err := Create(dir, newTestEncoder(t), n, Options{})
+	st, err := create(dir, newTestEncoder(t), n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestConcurrentAddLookupCompact(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(8))
 	dir := filepath.Join(t.TempDir(), "st")
-	st, err := Create(dir, newTestEncoder(t), n, Options{CompactEvery: 16})
+	st, err := create(dir, newTestEncoder(t), n, Options{CompactEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,18 +130,3 @@ func (s *Store) NearestHist(sc *sax.LookupScratch, qw sax.Word) (sax.Match, bool
 func (s *Store) LookupZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.Word, threshold float64) (sax.Match, error) {
 	return sax.LookupZOn(s, sc, z, qw, threshold)
 }
-
-// Lookup resamples, normalises and encodes a raw query series, then looks up
-// its nearest entry under the threshold.
-func (s *Store) Lookup(q timeseries.Series, threshold float64) (sax.Match, error) {
-	rs, err := q.ResampleLinear(s.p.seriesLen)
-	if err != nil {
-		return sax.Match{}, err
-	}
-	z := rs.ZNormalize()
-	qw, err := s.enc.Encode(z)
-	if err != nil {
-		return sax.Match{}, err
-	}
-	return s.LookupZWith(nil, z, qw, threshold)
-}

@@ -34,7 +34,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -119,36 +118,6 @@ type Store struct {
 
 // Store implements the dictionary surface the recogniser programs against.
 var _ sax.Dictionary = (*Store)(nil)
-
-// Create initialises an empty store in dir (created if absent; must not
-// already contain a store) for signatures of length seriesLen symbolised by
-// enc, and opens it.
-func Create(dir string, enc *sax.Encoder, seriesLen int, opts Options) (*Store, error) {
-	if enc == nil {
-		return nil, errors.New("store: nil encoder")
-	}
-	if seriesLen < enc.Segments() {
-		return nil, fmt.Errorf("store: series length %d below word length %d", seriesLen, enc.Segments())
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-		return nil, fmt.Errorf("store: %s already contains a store", dir)
-	}
-	mf := &manifest{
-		Version:   storeVersion,
-		WordLen:   enc.Segments(),
-		Alphabet:  enc.AlphabetSize(),
-		SeriesLen: seriesLen,
-		NextSeq:   1,
-		NextSegID: 1,
-	}
-	if err := writeManifest(dir, mf, os.Rename); err != nil {
-		return nil, err
-	}
-	return Open(dir, opts)
-}
 
 // Open opens the store in dir: the manifest is loaded, every referenced
 // segment is mapped and structurally validated, orphaned files from an
@@ -251,23 +220,11 @@ func (s *Store) Encoder() *sax.Encoder { return s.enc }
 // SeriesLen returns the canonical signature length.
 func (s *Store) SeriesLen() int { return s.p.seriesLen }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of entries (sealed + tail).
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.sealed + len(s.tail)
-}
-
-// SetShiftWindowFrac restricts the rotation-alignment search exactly as
-// Database.SetShiftWindowFrac does. The value is persisted into the manifest
-// by the next compaction.
-func (s *Store) SetShiftWindowFrac(frac float64) {
-	s.mu.Lock()
-	s.shiftFrac = frac
-	s.mu.Unlock()
 }
 
 // windows snapshots the rotation-window bounds (-1 = unbounded).
@@ -653,86 +610,4 @@ type Stats struct {
 	// Store.ReadOnly) to /statsz and operators.
 	ReadOnly  bool   `json:"read_only,omitempty"`
 	FailedErr string `json:"failed_err,omitempty"`
-}
-
-// Snapshot is the replica-shipping unit: the manifest state and sealed
-// segment set captured at a point in time. CopyTo materialises it into a
-// fresh store directory; the in-memory tail is not part of a snapshot, so
-// callers wanting full fidelity Compact() first.
-type Snapshot struct {
-	s  *Store
-	mf manifest
-}
-
-// Snapshot captures the current sealed state.
-func (s *Store) Snapshot() Snapshot {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	return Snapshot{s: s, mf: s.mf}
-}
-
-// Files lists the file names (relative to the store directory) that make up
-// the snapshot, manifest last.
-func (sn Snapshot) Files() []string {
-	names := make([]string, 0, len(sn.mf.Segments)+1)
-	for _, ms := range sn.mf.Segments {
-		names = append(names, ms.File)
-	}
-	return append(names, manifestName)
-}
-
-// Entries returns the number of sealed entries the snapshot carries.
-func (sn Snapshot) Entries() int {
-	n := 0
-	for _, ms := range sn.mf.Segments {
-		n += ms.Entries
-	}
-	return n
-}
-
-// CopyTo writes the snapshot into dstDir (created; must not already contain
-// a store): segment files are copied byte-for-byte, then the captured
-// manifest is written as the commit point — the same ordering compaction
-// uses, so an interrupted copy never leaves an openable half-store.
-// Compaction on the source store is held off for the duration.
-func (sn Snapshot) CopyTo(dstDir string) error {
-	s := sn.s
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return err
-	}
-	if _, err := os.Stat(filepath.Join(dstDir, manifestName)); err == nil {
-		return fmt.Errorf("store: %s already contains a store", dstDir)
-	}
-	for _, ms := range sn.mf.Segments {
-		if err := copyFile(filepath.Join(s.dir, ms.File), filepath.Join(dstDir, ms.File)); err != nil {
-			return err
-		}
-	}
-	mf := sn.mf
-	mf.Segments = append([]manifestSegment(nil), sn.mf.Segments...)
-	return writeManifest(dstDir, &mf, os.Rename)
-}
-
-// copyFile copies src to dst and fsyncs the copy.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

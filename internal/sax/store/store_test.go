@@ -48,7 +48,7 @@ func newTestEncoder(t testing.TB) *sax.Encoder {
 func buildPair(t testing.TB, rng *rand.Rand, dir string, nEntries, n int, opts Options) (*Store, *sax.Database) {
 	t.Helper()
 	enc := newTestEncoder(t)
-	st, err := Create(dir, enc, n, opts)
+	st, err := create(dir, enc, n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestAutoCompaction(t *testing.T) {
 	const n = 64
 	dir := filepath.Join(t.TempDir(), "st")
 	enc := newTestEncoder(t)
-	st, err := Create(dir, enc, n, Options{CompactEvery: 8})
+	st, err := create(dir, enc, n, Options{CompactEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,46 +310,6 @@ func TestConvertV1RoundTrip(t *testing.T) {
 	checkEquivalence(t, "converted", st, db, rng, n)
 }
 
-func TestSnapshotCopyTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 64
-	dir := filepath.Join(t.TempDir(), "src")
-	st, db := buildPair(t, rng, dir, 25, n, Options{})
-	defer st.Close()
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-snapshot appends must not leak into the replica.
-	sn := st.Snapshot()
-	if sn.Entries() != 25 {
-		t.Fatalf("snapshot entries = %d, want 25", sn.Entries())
-	}
-	if err := st.Add("after", randSmoothSeries(rng, n)); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := filepath.Join(t.TempDir(), "replica")
-	if err := sn.CopyTo(dst); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Open(dst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	if rep.Len() != 25 {
-		t.Fatalf("replica Len = %d, want 25", rep.Len())
-	}
-	if err := rep.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalence(t, "replica", rep, db, rng, n)
-	// The replica is a full store: it accepts its own appends.
-	if err := rep.Add("own", randSmoothSeries(rng, n)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLookupThresholdSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 64
@@ -357,10 +317,15 @@ func TestLookupThresholdSemantics(t *testing.T) {
 	st, _ := buildPair(t, rng, dir, 10, n, Options{})
 	defer st.Close()
 	q := randSmoothSeries(rng, n)
-	if _, err := st.Lookup(q, math.Inf(1)); err != nil {
+	z := q.ZNormalize()
+	qw, err := st.Encoder().Encode(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LookupZWith(nil, z, qw, math.Inf(1)); err != nil {
 		t.Fatalf("unbounded lookup: %v", err)
 	}
-	m, err := st.Lookup(q, -1)
+	m, err := st.LookupZWith(nil, z, qw, -1)
 	if err == nil {
 		t.Fatal("impossible threshold accepted a match")
 	}
@@ -372,13 +337,13 @@ func TestLookupThresholdSemantics(t *testing.T) {
 func TestCreateRefusesExistingStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "st")
 	enc := newTestEncoder(t)
-	st, err := Create(dir, enc, 64, Options{})
+	st, err := create(dir, enc, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if _, err := Create(dir, enc, 64, Options{}); err == nil {
-		t.Fatal("Create over an existing store must fail")
+	if _, err := create(dir, enc, 64, Options{}); err == nil {
+		t.Fatal("creating over an existing store must fail")
 	}
 }
 
@@ -412,4 +377,24 @@ func TestLookupKZWithZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("LookupKZWith allocates %v per lookup in steady state", allocs)
 	}
+}
+
+// create makes an empty store in dir through the bulk builder and opens it.
+func create(dir string, enc *sax.Encoder, seriesLen int, opts Options) (*Store, error) {
+	b, err := NewBuilder(dir, enc, seriesLen, BuilderOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Commit(); err != nil {
+		return nil, err
+	}
+	return Open(dir, opts)
+}
+
+// SetShiftWindowFrac restricts the rotation-alignment search exactly as
+// Database.SetShiftWindowFrac does.
+func (s *Store) SetShiftWindowFrac(frac float64) {
+	s.mu.Lock()
+	s.shiftFrac = frac
+	s.mu.Unlock()
 }

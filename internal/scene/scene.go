@@ -134,7 +134,7 @@ func (r *Renderer) RenderFigure(fig body.Figure, v View, rng *rand.Rand) (*raste
 
 // RenderFigures draws several world-placed figures from the view (the first
 // is the primary signaller at the origin the camera aims at; the rest are
-// bystanders translated elsewhere — see body.Figure.Translate). At least
+// bystanders with their joints placed elsewhere in the world). At least
 // one figure must be visible.
 func (r *Renderer) RenderFigures(figs []body.Figure, v View, rng *rand.Rand) (*raster.Gray, error) {
 	return r.RenderFiguresInto(nil, figs, v, rng)

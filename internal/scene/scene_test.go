@@ -10,6 +10,17 @@ import (
 	"hdc/internal/vision"
 )
 
+// foreground counts a mask's foreground pixels.
+func foreground(b *vision.Binary) int {
+	n := 0
+	for _, p := range b.Pix {
+		if p != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // geomV3 is a local alias to keep the bystander test terse.
 func geomV3(x, y, z float64) geom.Vec3 { return geom.V3(x, y, z) }
 
@@ -48,7 +59,7 @@ func TestRenderProducesSilhouette(t *testing.T) {
 		t.Fatalf("frame %dx%d", img.W, img.H)
 	}
 	mask := vision.OtsuBinarize(img)
-	area := mask.Count()
+	area := foreground(mask)
 	if area < 500 {
 		t.Fatalf("silhouette too small: %d px", area)
 	}
@@ -108,7 +119,7 @@ func TestSilhouetteShrinksWithDistance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		return vision.OtsuBinarize(img).Count()
+		return foreground(vision.OtsuBinarize(img))
 	}
 	near := area(View{AltitudeM: 3, DistanceM: 3})
 	far := area(View{AltitudeM: 3, DistanceM: 9})
@@ -132,7 +143,7 @@ func TestForeshorteningNarrowsSilhouette(t *testing.T) {
 			t.Fatalf("az %v: %v", azDeg, err)
 		}
 		mask := vision.OtsuBinarize(img)
-		_, comp, err := vision.LargestComponent(mask)
+		_, comp, err := vision.NewScratch().LargestComponent(mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +170,7 @@ func TestMirrorViewFromBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 		mask := vision.OtsuBinarize(img)
-		_, comp, err := vision.LargestComponent(mask)
+		_, comp, err := vision.NewScratch().LargestComponent(mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +213,7 @@ func TestClutterDoesNotDefeatLargestComponent(t *testing.T) {
 	}
 	mask := vision.OtsuBinarize(img)
 	mask = vision.Open(mask, 1)
-	_, comp, err := vision.LargestComponent(mask)
+	_, comp, err := vision.NewScratch().LargestComponent(mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +243,7 @@ func TestSilhouetteVisibleAcrossPaperEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
-			if vision.OtsuBinarize(img).Count() < 200 {
+			if foreground(vision.OtsuBinarize(img)) < 200 {
 				t.Fatalf("%v: silhouette too small", v)
 			}
 		}
@@ -272,16 +283,26 @@ func TestRenderFiguresWithBystander(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bystander 2.5 m to the signaller's left, slightly behind.
-	bystander = bystander.Translate(geomV3(2.5, 1.0, 0))
+	off := geomV3(2.5, 1.0, 0)
+	bystander.HeadCenter = bystander.HeadCenter.Add(off)
+	for i := range bystander.Capsules {
+		c := &bystander.Capsules[i]
+		c.A, c.B = c.A.Add(off), c.B.Add(off)
+	}
 
 	img, err := r.RenderFigures([]body.Figure{signaller, bystander}, ReferenceView(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mask := vision.OtsuBinarize(img)
-	_, comps := vision.LabelComponents(mask)
-	if len(comps) < 2 {
-		t.Fatalf("expected ≥2 components (signaller + bystander), got %d", len(comps))
+	// Two figures make at least two components: the largest cannot hold
+	// every foreground pixel.
+	_, largest, err := vision.NewScratch().LargestComponent(mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if largest.Area >= foreground(mask) {
+		t.Fatalf("largest component holds all %d foreground pixels: want ≥2 components (signaller + bystander)", largest.Area)
 	}
 	// Empty figure list rejected.
 	if _, err := r.RenderFigures(nil, ReferenceView(), nil); err == nil {

@@ -268,7 +268,7 @@ func TestChaosGestureIngest(t *testing.T) {
 	go chaosController(rand.New(rand.NewSource(seed)), stop, &chaosWG)
 
 	c := chaosClient(hs.URL)
-	gst, err := c.OpenGestureStream(context.Background())
+	gst, err := openGestureSession(context.Background(), hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -431,13 +431,6 @@ func (c *Client) post(ctx context.Context, path string, frames []*raster.Gray, s
 	return req, nil
 }
 
-// Post builds (without sending) a frame-carrying POST request for path —
-// the escape hatch for drivers and tests that need direct control of
-// headers and transport.
-func (c *Client) Post(ctx context.Context, path string, frames []*raster.Gray) (*http.Request, error) {
-	return c.post(ctx, path, frames, false)
-}
-
 // Recognize submits one frame to POST /v1/recognize. Transient failures
 // retry with backoff.
 func (c *Client) Recognize(ctx context.Context, frame *raster.Gray) (server.FrameResult, error) {
@@ -597,99 +590,11 @@ func (s *Stream) Close(ctx context.Context) error {
 	return s.c.do(req, nil)
 }
 
-// Gesture submits one complete gesture observation window to POST
-// /v1/gesture and returns its verdict. An unrecognised window is not an
-// error at this layer: the result carries Err == "no_gesture". Transient
-// failures retry (a gesture window is stateless server-side).
-func (c *Client) Gesture(ctx context.Context, frames []*raster.Gray) (server.GestureResult, error) {
-	if len(frames) == 0 {
-		return server.GestureResult{}, errors.New("client: no frames")
-	}
-	var out server.GestureResult
-	err := c.doRetry(ctx, func(actx context.Context) (*http.Request, error) {
-		return c.post(actx, "/v1/gesture", frames, false)
-	}, &out)
-	if err != nil {
-		return server.GestureResult{}, err
-	}
-	return out, nil
-}
-
-// GestureStream is a live-feed gesture session: frames offered to it enter
-// the server-side ingest ring (drop-oldest under overload) and verdicts are
-// polled back with each push.
-type GestureStream struct {
-	c      *Client
-	ID     string
-	Window int // server-side ingest ring capacity
-}
-
-// OpenGestureStream creates a live gesture session (POST /v1/gesture/streams).
-func (c *Client) OpenGestureStream(ctx context.Context) (*GestureStream, error) {
-	var info struct {
-		ID     string `json:"id"`
-		Window int    `json:"window"`
-	}
-	err := c.doRetry(ctx, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodPost, c.base+"/v1/gesture/streams", nil)
-	}, &info)
-	if err != nil {
-		return nil, err
-	}
-	return &GestureStream{c: c, ID: info.ID, Window: info.Window}, nil
-}
-
-// Offer pushes live frames at the session and returns the feed snapshot:
-// ingest counters plus the sliding-window verdicts completed since the last
-// push. The call returns at capture cadence — a saturated pool shows up in
-// the snapshot's Dropped count, never as a stalled request. Offers are not
-// retried (the ingest ring is stateful).
-func (s *GestureStream) Offer(ctx context.Context, frames ...*raster.Gray) (server.GestureFeed, error) {
-	var out server.GestureFeed
-	if len(frames) == 0 {
-		return out, errors.New("client: no frames")
-	}
-	req, err := s.c.post(ctx, "/v1/gesture/streams/"+s.ID+"/frames", frames, false)
-	if err != nil {
-		return out, err
-	}
-	err = s.c.do(req, &out)
-	return out, err
-}
-
-// Close ends the session gracefully: the server flushes the queued frames
-// through its pool and the returned feed carries the final verdicts.
-func (s *GestureStream) Close(ctx context.Context) (server.GestureFeed, error) {
-	var out server.GestureFeed
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, s.c.base+"/v1/gesture/streams/"+s.ID, nil)
-	if err != nil {
-		return out, err
-	}
-	err = s.c.do(req, &out)
-	return out, err
-}
-
 // Healthz reports whether the service is accepting work (the legacy
-// combined health probe; see Readyz/Livez for the split).
+// combined health probe; the server's /livez and /readyz split it).
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.doRetry(ctx, func(actx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(actx, http.MethodGet, c.base+"/healthz", nil)
-	}, nil)
-}
-
-// Livez reports process liveness: an error means the process itself is not
-// answering (restart material), not that it is merely unroutable.
-func (c *Client) Livez(ctx context.Context) error {
-	return c.doRetry(ctx, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodGet, c.base+"/livez", nil)
-	}, nil)
-}
-
-// Readyz reports whether this replica should receive new work; the error
-// for an unready replica carries the server's reasons.
-func (c *Client) Readyz(ctx context.Context) error {
-	return c.doRetry(ctx, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodGet, c.base+"/readyz", nil)
 	}, nil)
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"hdc/internal/body"
 	"hdc/internal/failpoint"
+	"hdc/internal/imu"
 	"hdc/internal/pipeline"
 	"hdc/internal/raster"
 	"hdc/internal/sax"
@@ -81,10 +82,7 @@ func readOnlyStore(t *testing.T) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Create(t.TempDir()+"/s", enc, 128, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := emptyStore(t, enc)
 	t.Cleanup(func() { st.Close() })
 	s := make(timeseries.Series, 128)
 	for i := range s {
@@ -175,7 +173,7 @@ func TestAdmissionControl(t *testing.T) {
 			path := tc.path(t, c)
 			post := func(frames []*raster.Gray, deadline string) (*http.Response, []server.FrameResult) {
 				t.Helper()
-				req, err := c.Post(context.Background(), path, frames)
+				req, err := framePost(context.Background(), hs.URL, path, frames)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +238,7 @@ func TestDeadlineHeaderBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := client.New(hs.URL, nil)
-	req, err := c.Post(context.Background(), "/v1/batch", frames)
+	req, err := framePost(context.Background(), hs.URL, "/v1/batch", frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +308,7 @@ func TestStreamDeadlineSacrificesSession(t *testing.T) {
 	if err := failpoint.Enable(failpoint.PipelineWorker, "delay(100ms)"); err != nil {
 		t.Fatal(err)
 	}
-	req, err := c.Post(context.Background(), "/v1/streams/"+st.ID+"/frames", frames)
+	req, err := framePost(context.Background(), hs.URL, "/v1/streams/"+st.ID+"/frames", frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +377,7 @@ func TestDeadlineTailCountsAsError(t *testing.T) {
 			if err := failpoint.Enable(failpoint.PipelineWorker, "delay(100ms)"); err != nil {
 				t.Fatal(err)
 			}
-			req, err := c.Post(context.Background(), path, frames)
+			req, err := framePost(context.Background(), hs.URL, path, frames)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,6 +406,50 @@ func TestDeadlineTailCountsAsError(t *testing.T) {
 			}
 		})
 	}
+	// The value graphs answer by the same rule: a window whose deadline
+	// expired fails the request.
+	t.Run("graph", func(t *testing.T) {
+		defer failpoint.DisableAll()
+		_, _, hs := testService(t, server.Options{}, pipeline.Config{Workers: 1, QueueDepth: 1, StreamWindow: 2})
+		window := make([]map[string]any, 64)
+		for i := range window {
+			window[i] = map[string]any{"t_s": float64(i) * 0.02, "accel": [3]float64{0, 0, imu.Gravity}}
+		}
+		body, err := json.Marshal(map[string]any{"windows": []any{window, window, window, window, window, window}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := failpoint.Enable(failpoint.PipelineWorker, "delay(100ms)"); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/graph/imu", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.DeadlineHeader, "60")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Results []server.IMUResult `json:"results"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || out.Results[len(out.Results)-1].Err != server.ErrValueDeadline {
+			t.Fatalf("imu: %d, tail not deadline: %+v", resp.StatusCode, out.Results)
+		}
+		failpoint.DisableAll()
+		stats, err := client.New(hs.URL, nil).Statsz(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep := stats.Endpoints["graph"]; ep.Count != 1 || ep.Errors != 1 {
+			t.Fatalf("statsz graph: %+v, want 1 request and 1 error", ep)
+		}
+	})
 }
 
 // TestFailpointzEndpoint pins the debug endpoint: absent by default, and

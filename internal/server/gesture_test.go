@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestGestureOneShot(t *testing.T) {
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
-	res, err := c.Gesture(ctx, gestureWindow(t, sys, gesture.GestureWave, 0.4, 24))
+	res, err := postGesture(ctx, hs.URL, gestureWindow(t, sys, gesture.GestureWave, 0.4, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestGestureOneShot(t *testing.T) {
 		}
 		static[i] = f
 	}
-	res, err = c.Gesture(ctx, static)
+	res, err = postGesture(ctx, hs.URL, static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestGestureAdmissionAndDeadline(t *testing.T) {
 	ctx := context.Background()
 	post := func(frames []*raster.Gray, deadline string) *http.Response {
 		t.Helper()
-		req, err := c.Post(ctx, "/v1/gesture", frames)
+		req, err := framePost(ctx, hs.URL, "/v1/gesture", frames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func TestGestureLiveSession(t *testing.T) {
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
-	st, err := c.OpenGestureStream(ctx)
+	st, err := openGestureSession(ctx, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +313,9 @@ func TestGestureLiveSession(t *testing.T) {
 // frame silently vanishes.
 func TestDeadGestureSessionReportsGone(t *testing.T) {
 	sys, hs := gestureService(t, server.Options{}, pipeline.Config{Workers: 2})
-	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
-	st, err := c.OpenGestureStream(ctx)
+	st, err := openGestureSession(ctx, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestCrossKindSessionIDsRejected(t *testing.T) {
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
-	gs, err := c.OpenGestureStream(ctx)
+	gs, err := openGestureSession(ctx, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestReapedGestureSessionRecyclesFrames(t *testing.T) {
 		g.Pix[i] = 200
 		flood[i] = g
 	}
-	st, err := c.OpenGestureStream(ctx)
+	st, err := openGestureSession(ctx, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,4 +515,87 @@ func TestReapedGestureSessionRecyclesFrames(t *testing.T) {
 	releaseOnce()
 	wedge.Close()
 	framePoolBalanced(t, c)
+}
+
+// framePost builds a raw-frame POST of frames to base+path: the octet-stream
+// body and X-Frame-* headers of a batch upload.
+func framePost(ctx context.Context, base, path string, frames []*raster.Gray) (*http.Request, error) {
+	w, h, payload, err := client.EncodeRaw(frames)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("X-Frame-Width", strconv.Itoa(w))
+	req.Header.Set("X-Frame-Height", strconv.Itoa(h))
+	req.Header.Set("X-Frame-Count", strconv.Itoa(len(frames)))
+	return req, nil
+}
+
+// wireCall sends req and decodes a 2xx JSON answer into out; any other
+// status answers a *client.APIError carrying it.
+func wireCall(req *http.Request, out any) error {
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		var er struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		return &client.APIError{Status: resp.StatusCode, Msg: er.Error}
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// postGesture submits one observation window to POST /v1/gesture.
+func postGesture(ctx context.Context, base string, frames []*raster.Gray) (server.GestureResult, error) {
+	var out server.GestureResult
+	req, err := framePost(ctx, base, "/v1/gesture", frames)
+	if err != nil {
+		return out, err
+	}
+	return out, wireCall(req, &out)
+}
+
+// gestureSession drives a live gesture session over the wire.
+type gestureSession struct {
+	base   string
+	ID     string `json:"id"`
+	Window int    `json:"window"`
+}
+
+// openGestureSession creates a session (POST /v1/gesture/streams).
+func openGestureSession(ctx context.Context, base string) (*gestureSession, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/gesture/streams", nil)
+	if err != nil {
+		return nil, err
+	}
+	s := &gestureSession{base: base}
+	return s, wireCall(req, s)
+}
+
+// Offer pushes frames at the session and returns the feed snapshot.
+func (s *gestureSession) Offer(ctx context.Context, frames ...*raster.Gray) (server.GestureFeed, error) {
+	var out server.GestureFeed
+	req, err := framePost(ctx, s.base, "/v1/gesture/streams/"+s.ID+"/frames", frames)
+	if err != nil {
+		return out, err
+	}
+	return out, wireCall(req, &out)
+}
+
+// Close ends the session gracefully and returns the final feed.
+func (s *gestureSession) Close(ctx context.Context) (server.GestureFeed, error) {
+	var out server.GestureFeed
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, s.base+"/v1/gesture/streams/"+s.ID, nil)
+	if err != nil {
+		return out, err
+	}
+	return out, wireCall(req, &out)
 }

@@ -130,9 +130,10 @@ func (s *Server) handleGraphIndex(w http.ResponseWriter, r *http.Request) {
 // serveGraphValues is the whole of a value-workload endpoint: the body
 // scanned straight into the graph's inputs, admission and deadline, one
 // Process batch through the named graph, and one result per input, in
-// order. reading maps an output to its wire result and reports whether it
-// carried a reading; a slot without one fails the request in /statsz.
-func serveGraphValues[T, R any](s *Server, w http.ResponseWriter, r *http.Request, name string, scan func(*wireScanner) ([]T, bool), reading func(graph.Output) (R, bool)) (int, bool) {
+// order. reading maps an output to its wire result; by the frame endpoints'
+// rule, the request counts as failed in /statsz only when some slot was
+// interrupted (deadline or draining), never for a verdict on its input.
+func serveGraphValues[T, R any](s *Server, w http.ResponseWriter, r *http.Request, name string, scan func(*wireScanner) ([]T, bool), reading func(graph.Output) R) (int, bool) {
 	vals, err := decodeGraphBody(w, r, s.opts.MaxBodyBytes, scan)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -173,9 +174,8 @@ func serveGraphValues[T, R any](s *Server, w http.ResponseWriter, r *http.Reques
 	results := make([]R, n)
 	failed := false
 	for i, o := range out {
-		var ok bool
-		results[i], ok = reading(o)
-		failed = failed || !ok
+		results[i] = reading(o)
+		failed = failed || interruption(errValue(o.Err))
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Results []R `json:"results"`
@@ -254,9 +254,8 @@ func (s *Server) handleGraphGesture(w http.ResponseWriter, r *http.Request) (int
 		return len(frames), true
 	}
 	out := gestureMatchToWire(m, err)
-	failed := err != nil && !errors.Is(err, gesture.ErrNoGesture)
 	writeJSON(w, http.StatusOK, out)
-	return len(frames), failed
+	return len(frames), interruption(out.Err)
 }
 
 // LedringResult is one decoded ring on the wire. Field errors are per
@@ -278,10 +277,10 @@ func (s *Server) handleGraphLedring(w http.ResponseWriter, r *http.Request) (int
 }
 
 // ledringResult maps one ledring graph output to its wire result.
-func ledringResult(o graph.Output) (LedringResult, bool) {
+func ledringResult(o graph.Output) LedringResult {
 	rd, ok := o.Value.(*nodes.LedringReading)
 	if !ok || o.Err != nil {
-		return LedringResult{Err: errValue(o.Err)}, false
+		return LedringResult{Err: errValue(o.Err)}
 	}
 	return LedringResult{
 		HeadingDeg:  rd.Heading.Deg(),
@@ -290,7 +289,7 @@ func ledringResult(o graph.Output) (LedringResult, bool) {
 		Danger:      rd.Danger,
 		Pulse:       rd.Pulse.String(),
 		PulseErr:    rd.PulseErr,
-	}, true
+	}
 }
 
 // IMUResult is one window's motion reading on the wire.
@@ -307,12 +306,12 @@ func (s *Server) handleGraphIMU(w http.ResponseWriter, r *http.Request) (int, bo
 }
 
 // imuResult maps one imu graph output to its wire result.
-func imuResult(o graph.Output) (IMUResult, bool) {
+func imuResult(o graph.Output) IMUResult {
 	rd, ok := o.Value.(nodes.IMUReading)
 	if !ok || o.Err != nil {
-		return IMUResult{Err: errValue(o.Err)}, false
+		return IMUResult{Err: errValue(o.Err)}
 	}
-	return IMUResult{State: rd.FinalLabel, Transitions: rd.Transitions, Samples: rd.Samples}, true
+	return IMUResult{State: rd.FinalLabel, Transitions: rd.Transitions, Samples: rd.Samples}
 }
 
 // FlightResult is one trajectory's classified pattern on the wire.
@@ -327,12 +326,12 @@ func (s *Server) handleGraphFlight(w http.ResponseWriter, r *http.Request) (int,
 }
 
 // flightResult maps one flight graph output to its wire result.
-func flightResult(o graph.Output) (FlightResult, bool) {
+func flightResult(o graph.Output) FlightResult {
 	rd, ok := o.Value.(nodes.FlightReading)
 	if !ok || o.Err != nil {
-		return FlightResult{Err: errValue(o.Err)}, false
+		return FlightResult{Err: errValue(o.Err)}
 	}
-	return FlightResult{Pattern: rd.Label}, true
+	return FlightResult{Pattern: rd.Label}
 }
 
 // secondsToDuration converts a wire t_s to the IMU sample clock.

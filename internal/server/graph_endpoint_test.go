@@ -202,6 +202,36 @@ func TestGraphFlightEndpoint(t *testing.T) {
 	if r := got.Results[1]; r.Err == "" {
 		t.Fatalf("short trajectory answered without error: %+v", r)
 	}
+
+	// /statsz counts a graph 200 as failed only for an interrupted slot: the
+	// short trajectory's error is a verdict. With one canonical imu body
+	// (200) and two malformed ones (400) the graph endpoint reads 4
+	// requests, 2 errors.
+	window := make([]map[string]any, 64)
+	for i := range window {
+		window[i] = map[string]any{"t_s": float64(i) * 0.02, "accel": [3]float64{0, 0, imu.Gravity}}
+	}
+	var imuOut struct {
+		Results []server.IMUResult `json:"results"`
+	}
+	postGraphJSON(t, hs.URL+"/v1/graph/imu", map[string]any{"windows": []any{window}}, &imuOut)
+	for _, body := range []string{`{"windows":[[{"T_S":0}]]}`, `{"windows":[[{"t_s":0,"accel":[0,0]}]]}`} {
+		resp, err := http.Post(hs.URL+"/v1/graph/imu", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed imu body %s: %d, want 400", body, resp.StatusCode)
+		}
+	}
+	stats, err := client.New(hs.URL, nil).Statsz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep := stats.Endpoints["graph"]; ep.Count != 4 || ep.Errors != 2 {
+		t.Fatalf("statsz graph: %+v, want 4 requests and 2 errors", ep)
+	}
 }
 
 // TestGraphIndexAndStatsz checks the registry surfaces: /v1/graph lists the

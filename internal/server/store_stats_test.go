@@ -19,10 +19,7 @@ func TestStatszStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Create(t.TempDir()+"/s", enc, 128, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := emptyStore(t, enc)
 	defer st.Close()
 	s := make(timeseries.Series, 128)
 	for i := range s {
@@ -54,4 +51,23 @@ func TestStatszStore(t *testing.T) {
 	if stats.Store != nil {
 		t.Fatalf("store snapshot should be absent, got %+v", stats.Store)
 	}
+}
+
+// emptyStore creates an empty store under t's temp dir through the bulk
+// builder and opens it.
+func emptyStore(t *testing.T, enc *sax.Encoder) *store.Store {
+	t.Helper()
+	dir := t.TempDir() + "/s"
+	b, err := store.NewBuilder(dir, enc, 128, store.BuilderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

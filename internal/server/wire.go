@@ -150,11 +150,17 @@ func batchToWire(res []recognizer.Result, errs []error) []FrameResult {
 	return out
 }
 
-// interrupted reports whether any slot answered "deadline" or "draining",
-// the one rule by which a frame endpoint's 200 counts as failed in /statsz.
+// interruption reports whether a slot's wire error is "deadline" or
+// "draining": the one rule by which an endpoint's 200 counts as failed in
+// /statsz. Every other error value is a verdict on the input.
+func interruption(v string) bool {
+	return v == ErrValueDeadline || v == ErrValueDraining
+}
+
+// interrupted reports whether any frame slot was interrupted.
 func interrupted(results []FrameResult) bool {
 	for _, r := range results {
-		if r.Err == ErrValueDeadline || r.Err == ErrValueDraining {
+		if interruption(r.Err) {
 			return true
 		}
 	}

@@ -22,7 +22,7 @@ func TestLogConcurrentEmitAndRead(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				l.Emitf(time.Duration(i)*time.Millisecond, fmt.Sprintf("drone-%d", w), "tick", "i=%d", i)
+				l.Emit(time.Duration(i)*time.Millisecond, fmt.Sprintf("drone-%d", w), "tick", fmt.Sprintf("i=%d", i))
 			}
 		}(w)
 	}

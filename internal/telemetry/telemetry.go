@@ -1,7 +1,7 @@
-// Package telemetry provides the structured event log, counters and
-// tables the simulation and the experiment harness share: every
-// negotiation step, safety trigger and mission milestone lands here, and
-// the harness renders them as the markdown tables in EXPERIMENTS.md.
+// Package telemetry provides the structured event log and the tables the
+// simulation and the experiment harness share: every negotiation step,
+// safety trigger and mission milestone lands here, and the harness renders
+// them as the markdown tables in EXPERIMENTS.md.
 package telemetry
 
 import (
@@ -19,43 +19,20 @@ type Event struct {
 	Detail string        // human-readable payload
 }
 
-// Log is a thread-safe append-only event log with counters.
+// Log is a thread-safe append-only event log.
 type Log struct {
-	mu       sync.Mutex
-	events   []Event
-	counters map[string]int
+	mu     sync.Mutex
+	events []Event
 }
 
 // NewLog creates an empty log.
-func NewLog() *Log {
-	return &Log{counters: make(map[string]int)}
-}
+func NewLog() *Log { return &Log{} }
 
-// Emit appends an event and bumps its kind counter.
+// Emit appends an event.
 func (l *Log) Emit(at time.Duration, source, kind, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, Event{At: at, Source: source, Kind: kind, Detail: detail})
-	l.counters[kind]++
-}
-
-// Emitf is Emit with a format string for the detail.
-func (l *Log) Emitf(at time.Duration, source, kind, format string, args ...any) {
-	l.Emit(at, source, kind, fmt.Sprintf(format, args...))
-}
-
-// Count returns how many events of the kind were emitted.
-func (l *Log) Count(kind string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counters[kind]
-}
-
-// Len returns the total number of events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }
 
 // Events returns a copy of all events in emission order.
@@ -64,19 +41,6 @@ func (l *Log) Events() []Event {
 	defer l.mu.Unlock()
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
-	return out
-}
-
-// EventsOfKind returns the events matching kind, in order.
-func (l *Log) EventsOfKind(kind string) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 
@@ -105,11 +69,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row of formatted cells.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
 }
 
 // Markdown renders the table as GitHub-flavoured markdown.

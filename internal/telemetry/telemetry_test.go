@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func TestLogEmitAndCount(t *testing.T) {
 	l := NewLog()
 	l.Emit(time.Second, "drone", "poke", "first")
-	l.Emitf(2*time.Second, "drone", "poke", "n=%d", 2)
+	l.Emit(2*time.Second, "drone", "poke", fmt.Sprintf("n=%d", 2))
 	l.Emit(3*time.Second, "protocol", "granted", "")
 	if l.Count("poke") != 2 || l.Count("granted") != 1 || l.Count("missing") != 0 {
 		t.Fatal("counters wrong")
@@ -117,4 +118,30 @@ func TestEventsCSV(t *testing.T) {
 	if !strings.Contains(csv, `1.500,drone,danger,"battery, low"`) {
 		t.Fatalf("row missing: %q", csv)
 	}
+}
+
+// Count returns how many events of the kind were emitted.
+func (l *Log) Count(kind string) int { return len(l.EventsOfKind(kind)) }
+
+// Len returns the total number of events.
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events)
+}
+
+// EventsOfKind returns the events matching kind, in order.
+func (l *Log) EventsOfKind(kind string) []Event {
+	var out []Event
+	for _, e := range l.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// AddRowf appends a row of formatted cells split on "|".
+func (t *Table) AddRowf(format string, args ...any) {
+	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
 }

@@ -70,7 +70,7 @@ type Spectrum struct {
 
 // SpecTable computes Spectra of series of one length with the table-driven
 // DFT sums the Aligner's own bound uses, so a Spectrum computed ahead of a
-// lookup is bit-identical to the one BoundExceeds computes during it. The
+// lookup is bit-identical to one the Aligner computes for itself. The
 // zero value serves length 0; a table is immutable once built and may be
 // shared between goroutines.
 type SpecTable struct {
@@ -287,20 +287,6 @@ func (al *Aligner) LowerBound(es Spectrum) float64 {
 // ee, so the slack of the largest ee in a set bounds that of every member.
 func (al *Aligner) BoundSlack(ee float64) float64 {
 	return al.tau(al.qq + 2*ee)
-}
-
-// BoundExceeds reports whether the spectral lower bound proves that no
-// rotation of e — nor of its mirror, which has the same DFT magnitudes —
-// comes within cutoff of the prepared query: then
-// MinRotationDistWindowCutoff returns +Inf for both orientations at every
-// shift window, and the candidate cannot enter any result. It reports false
-// for series of 8 or fewer samples and for a length mismatch.
-func (al *Aligner) BoundExceeds(e Series, cutoff float64) bool {
-	if al.spec.dft == nil || len(e) != al.n {
-		return false
-	}
-	es := al.spec.Of(e)
-	return al.LowerBound(es) > cutoff*cutoff+al.BoundSlack(es.SS)
 }
 
 // Align returns exactly what the direct pair of scans returns: d, s from

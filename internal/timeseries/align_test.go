@@ -374,3 +374,16 @@ func FuzzRotationAlign(f *testing.F) {
 		checkAlign(t, &al, q, e, r, isMirror, int(win), cutoff)
 	})
 }
+
+// BoundExceeds reports whether the spectral lower bound proves that no
+// rotation of e — nor of its mirror, which has the same DFT magnitudes —
+// comes within cutoff of the prepared query: the per-query form of the
+// precomputed bound the lookup cascade prunes with. It reports false for
+// series of 8 or fewer samples and for a length mismatch.
+func (al *Aligner) BoundExceeds(e Series, cutoff float64) bool {
+	if al.spec.dft == nil || len(e) != al.n {
+		return false
+	}
+	es := al.spec.Of(e)
+	return al.LowerBound(es) > cutoff*cutoff+al.BoundSlack(es.SS)
+}

@@ -4,7 +4,10 @@ import "math"
 
 // EuclideanDist returns the Euclidean distance between equal-length series.
 // Mismatched lengths are not silently accepted: callers get
-// ErrLengthMismatch, never a quiet +Inf.
+// ErrLengthMismatch, never a quiet +Inf. It is the reference the tests hold
+// the shifted, rotation and SAX distances against.
+//
+//hdc:oracle
 func EuclideanDist(a, b Series) (float64, error) {
 	if len(a) != len(b) {
 		return 0, ErrLengthMismatch

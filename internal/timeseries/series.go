@@ -221,17 +221,6 @@ func (s Series) Rotate(k int) Series {
 	return out
 }
 
-// Reverse returns s in reverse order. Matching against reversed signatures
-// implements mirror invariance (a signaller seen from behind produces the
-// mirrored silhouette).
-func (s Series) Reverse() Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
-}
-
 // MirrorInto writes s's mirror candidate into dst and returns it: m[i] =
 // s[−i mod n], the reversal rotated by one so a pure reflection about the
 // first sample sits at shift 0 (s.Reverse().Rotate(-1) without the
@@ -250,38 +239,4 @@ func (s Series) MirrorInto(dst Series) Series {
 		dst[i] = s[n-i]
 	}
 	return dst
-}
-
-// Smooth returns a centered moving-average of s with the given window
-// half-width (window = 2*half+1), reflecting at the edges. half <= 0 returns
-// a copy.
-func (s Series) Smooth(half int) Series {
-	if len(s) == 0 {
-		return nil
-	}
-	if half <= 0 {
-		return s.Clone()
-	}
-	out := make(Series, len(s))
-	n := len(s)
-	for i := range s {
-		var sum float64
-		var cnt int
-		for d := -half; d <= half; d++ {
-			j := i + d
-			if j < 0 {
-				j = -j
-			}
-			if j >= n {
-				j = 2*n - 2 - j
-			}
-			if j < 0 || j >= n {
-				continue
-			}
-			sum += s[j]
-			cnt++
-		}
-		out[i] = sum / float64(cnt)
-	}
-	return out
 }

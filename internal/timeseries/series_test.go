@@ -275,25 +275,6 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestSmooth(t *testing.T) {
-	s := Series{0, 0, 10, 0, 0}
-	sm := s.Smooth(1)
-	if !(sm[2] < 10 && sm[1] > 0 && sm[3] > 0) {
-		t.Fatalf("Smooth did not spread the spike: %v", sm)
-	}
-	// Mean approximately preserved for symmetric reflection.
-	if !almostEq(sm.Mean(), s.Mean(), 0.7) {
-		t.Fatalf("Smooth changed mean too much: %v vs %v", sm.Mean(), s.Mean())
-	}
-	// half=0 is a copy.
-	c := s.Smooth(0)
-	for i := range s {
-		if c[i] != s[i] {
-			t.Fatal("Smooth(0) should copy")
-		}
-	}
-}
-
 func TestClone(t *testing.T) {
 	s := Series{1, 2}
 	c := s.Clone()
@@ -304,4 +285,14 @@ func TestClone(t *testing.T) {
 	if Series(nil).Clone() != nil {
 		t.Fatal("nil Clone should be nil")
 	}
+}
+
+// Reverse returns s in reverse order: the mirror the rotation aligner matches
+// by index arithmetic.
+func (s Series) Reverse() Series {
+	out := make(Series, len(s))
+	for i, v := range s {
+		out[len(s)-1-i] = v
+	}
+	return out
 }

@@ -104,16 +104,6 @@ var spans = [numSpans]struct {
 	{"deliver", StageClassify, StageDeliver}, // reorder + delivery-channel wait
 }
 
-// SpanNames returns the aggregate breakdown's span names in pipeline order
-// — the sub-benchmark names BenchmarkStageBreakdown emits.
-func SpanNames() []string {
-	out := make([]string, len(spans))
-	for i, s := range spans {
-		out[i] = s.name
-	}
-	return out
-}
-
 // slot is one frame's trace record in a ring. All fields are atomics so a
 // concurrent scrape is race-free by construction; gen is the seqlock.
 type slot struct {
@@ -212,15 +202,6 @@ func (t *Tracer) Arm() { t.armed.Store(true) }
 // trace began while armed keep stamping into their claimed slot.
 func (t *Tracer) Disarm() { t.armed.Store(false) }
 
-// Armed reports whether new traces are being recorded.
-func (t *Tracer) Armed() bool { return t.armed.Load() }
-
-// Buffer returns the per-worker ring capacity (after power-of-two rounding).
-func (t *Tracer) Buffer() int { return t.cap }
-
-// Workers returns the number of per-worker rings.
-func (t *Tracer) Workers() int { return len(t.rings) }
-
 // LabelID interns an owner label for stamping; the zero ID is the empty
 // (unattributed) label. Called at stream registration, never per frame.
 func (t *Tracer) LabelID(label string) uint32 {
@@ -270,9 +251,6 @@ type Handle struct {
 
 // Active reports whether this handle records anywhere.
 func (h Handle) Active() bool { return h.s != nil }
-
-// ID returns the frame's trace ID (0 for an inactive handle).
-func (h Handle) ID() uint64 { return h.id }
 
 // Begin claims a trace record for a new frame attributed to the interned
 // owner label. Disarmed, it is exactly one atomic load and returns the

@@ -64,7 +64,7 @@ func TestDisarmedBeginInactive(t *testing.T) {
 	tr := New(1, 16)
 	tr.Disarm()
 	h := tr.Begin(0)
-	if h.Active() || h.ID() != 0 {
+	if h.Active() || h.id != 0 {
 		t.Fatalf("disarmed Begin must return the inactive handle, got %+v", h)
 	}
 	// Every hook on the inactive handle must be a no-op.
@@ -228,14 +228,17 @@ func TestLabelInterning(t *testing.T) {
 }
 
 func TestSpanNamesOrder(t *testing.T) {
-	names := SpanNames()
+	var names []string
+	for _, st := range New(1, 16).Snapshot(0).Stages {
+		names = append(names, st.Stage)
+	}
 	want := []string{"ingest", "queue", "binarize", "features", "classify", "deliver"}
 	if len(names) != len(want) {
-		t.Fatalf("SpanNames() = %v", names)
+		t.Fatalf("breakdown spans = %v", names)
 	}
 	for i := range want {
 		if names[i] != want[i] {
-			t.Fatalf("SpanNames()[%d] = %q, want %q", i, names[i], want[i])
+			t.Fatalf("breakdown span %d = %q, want %q", i, names[i], want[i])
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func benchFrame() *raster.Gray {
-	g := raster.MustGray(256, 256)
+	g := mustGray(256, 256)
 	g.Fill(210)
 	// A figure-like blob: torso + arms.
 	g.FillPolygon([]float64{120, 136, 136, 120}, []float64{80, 80, 200, 200}, 30)
@@ -55,7 +55,7 @@ func BenchmarkExtractSignatureNormalized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ExtractSignatureNormalized(mask, 128); err != nil {
+		if _, _, _, err := ExtractSignatureNorm(mask, 128, NormWhiten); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package vision
 
 import (
 	"math/bits"
-	"sort"
 )
 
 // components.go implements 8-connected component labelling on runs: the mask
@@ -184,33 +183,4 @@ func (l *labeller) paint(out *Binary, c int32) {
 			}
 		}
 	}
-}
-
-// LabelComponents performs 8-connected component labelling and returns the
-// label image plus per-component statistics sorted by area descending, ties
-// by label. Labels number the components 1, 2, … in raster order of their
-// first pixel; background is 0.
-func LabelComponents(b *Binary) (labels []int32, comps []Component) {
-	var p planes
-	var l labeller
-	l.label(&p, b)
-	labels = make([]int32, len(b.Pix))
-	for _, r := range l.runs {
-		row := labels[int(r.y)*b.W:]
-		for x := r.x0; x <= r.x1; x++ {
-			row[x] = r.comp + 1
-		}
-	}
-	comps = make([]Component, len(l.blobs))
-	for i := range l.blobs {
-		comps[i] = l.blobs[i].component(i + 1)
-	}
-	sort.SliceStable(comps, func(i, j int) bool { return comps[i].Area > comps[j].Area })
-	return labels, comps
-}
-
-// LargestComponent extracts the largest 8-connected foreground region as its
-// own mask. It returns ErrEmptyImage when there is no foreground.
-func LargestComponent(b *Binary) (*Binary, Component, error) {
-	return NewScratch().LargestComponent(b)
 }

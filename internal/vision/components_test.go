@@ -76,8 +76,8 @@ func checkComponents(t testing.TB, s *Scratch, ref *refScratch, b *Binary) {
 		fail("the two oracles disagree")
 	}
 	for name, largest := range map[string]func(*Binary) (*Binary, Component, error){
-		"LargestComponent":         LargestComponent,
-		"Scratch.LargestComponent": s.LargestComponent,
+		"fresh Scratch":  NewScratch().LargestComponent,
+		"reused Scratch": s.LargestComponent,
 	} {
 		blob, comp, err := largest(b)
 		if !errors.Is(err, wantErr) {
@@ -109,11 +109,11 @@ func checkComponents(t testing.TB, s *Scratch, ref *refScratch, b *Binary) {
 		if withoutLabel(comp) != withoutLabel(wantComp) {
 			fail("Scratch.ExtractSignatureNorm component %+v, oracle %+v", comp, wantComp)
 		}
-		wantContour, err := TraceContour(wantBlob, Point{wantComp.FirstPix[0], wantComp.FirstPix[1]})
+		wantContour, err := TraceContourInto(wantBlob, Point{wantComp.FirstPix[0], wantComp.FirstPix[1]}, nil)
 		if err != nil {
 			fail("tracing the oracle's component: %v", err)
 		}
-		wantSig, err := wantContour.SignatureNorm(n, mode)
+		wantSig, err := wantContour.signatureScratch(n, mode, nil)
 		if err != nil {
 			fail("oracle signature: %v", err)
 		}
@@ -307,8 +307,8 @@ func TestLargestComponentTieBreak(t *testing.T) {
 	for _, c := range cases {
 		b := c.make()
 		for name, largest := range map[string]func(*Binary) (*Binary, Component, error){
-			"LargestComponent":         LargestComponent,
-			"Scratch.LargestComponent": s.LargestComponent,
+			"fresh Scratch":  NewScratch().LargestComponent,
+			"reused Scratch": s.LargestComponent,
 		} {
 			_, comp, err := largest(b)
 			if err != nil {

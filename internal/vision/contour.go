@@ -26,17 +26,12 @@ var mooreOffsets = [8]Point{
 	{-1, 0}, {-1, -1}, {0, -1}, {1, -1}, {1, 0}, {1, 1}, {0, 1}, {-1, 1},
 }
 
-// TraceContour extracts the outer boundary of the foreground region
+// TraceContourInto extracts the outer boundary of the foreground region
 // containing start (which must be the topmost-leftmost foreground pixel of
 // its component) using Moore-neighbour tracing with Jacob's stopping
-// criterion.
-func TraceContour(b *Binary, start Point) (Contour, error) {
-	return TraceContourInto(b, start, nil)
-}
-
-// TraceContourInto is TraceContour appending into buf (reset to length zero
-// first), so steady-state callers reuse one backing array. The returned
-// contour aliases buf's storage when capacity sufficed. b may hold other
+// criterion, appending into buf (reset to length zero first) so
+// steady-state callers reuse one backing array. The returned contour
+// aliases buf's storage when capacity sufficed. b may hold other
 // components besides start's: tracing reads only the 8-neighbours of the
 // traced component's pixels, and any foreground 8-neighbour belongs to that
 // component, so only start's component is traced.
@@ -91,35 +86,6 @@ func offsetIndex(dx, dy int) int {
 	return 0
 }
 
-// Centroid returns the mean position of the contour points.
-func (c Contour) Centroid() (float64, float64) {
-	if len(c) == 0 {
-		return 0, 0
-	}
-	var sx, sy float64
-	for _, p := range c {
-		sx += float64(p.X)
-		sy += float64(p.Y)
-	}
-	n := float64(len(c))
-	return sx / n, sy / n
-}
-
-// Perimeter returns the total Euclidean length along the closed contour.
-func (c Contour) Perimeter() float64 {
-	if len(c) < 2 {
-		return 0
-	}
-	var sum float64
-	for i := range c {
-		j := (i + 1) % len(c)
-		dx := float64(c[j].X - c[i].X)
-		dy := float64(c[j].Y - c[i].Y)
-		sum += math.Hypot(dx, dy)
-	}
-	return sum
-}
-
 // Normalization selects the geometric normalisation applied to a contour
 // before its centroid-distance signature is measured.
 type Normalization int
@@ -144,19 +110,6 @@ const (
 	// turns erratic — the paper's dead angle.
 	NormWhiten
 )
-
-// Signature converts the contour into the centroid-distance time series used
-// by the paper's SAX recogniser, resampled uniformly by arc length to n
-// samples. Rotating the underlying shape circularly shifts this signature,
-// which is what makes SAX matching rotation-invariant after shift search.
-func (c Contour) Signature(n int) (timeseries.Series, error) {
-	return c.SignatureNorm(n, NormNone)
-}
-
-// SignatureNorm computes the signature under an explicit normalisation mode.
-func (c Contour) SignatureNorm(n int, mode Normalization) (timeseries.Series, error) {
-	return c.signatureScratch(n, mode, nil)
-}
 
 // signatureScratch is SignatureNorm drawing its float planes and output from
 // s when s is non-nil (the returned series then aliases s.sig and is only
@@ -342,21 +295,10 @@ func whiten(fx, fy []float64) {
 	}
 }
 
-// ExtractSignature is the full §IV shape→series step: find the largest
-// component of mask, trace its outer contour and produce an n-sample
-// centroid-distance signature. It also returns the contour and component for
-// diagnostics.
-func ExtractSignature(mask *Binary, n int) (timeseries.Series, Contour, Component, error) {
-	return ExtractSignatureNorm(mask, n, NormNone)
-}
-
-// ExtractSignatureNormalized is ExtractSignature under NormWhiten — the
-// production path of the recogniser.
-func ExtractSignatureNormalized(mask *Binary, n int) (timeseries.Series, Contour, Component, error) {
-	return ExtractSignatureNorm(mask, n, NormWhiten)
-}
-
-// ExtractSignatureNorm is ExtractSignature under an explicit normalisation.
+// ExtractSignatureNorm is the full §IV shape→series step under an explicit
+// normalisation: find the largest component of mask, trace its outer
+// contour and produce an n-sample centroid-distance signature. It also
+// returns the contour and component for diagnostics.
 func ExtractSignatureNorm(mask *Binary, n int, mode Normalization) (timeseries.Series, Contour, Component, error) {
 	return NewScratch().ExtractSignatureNorm(mask, n, mode)
 }

@@ -3,13 +3,11 @@ package vision
 import (
 	"math"
 	"testing"
-
-	"hdc/internal/raster"
 )
 
 // maskFromPolygon rasterises a polygon into a binary mask.
 func maskFromPolygon(w, h int, xs, ys []float64) *Binary {
-	g := raster.MustGray(w, h)
+	g := mustGray(w, h)
 	g.FillPolygon(xs, ys, 255)
 	return Threshold(g, 128, true)
 }
@@ -115,7 +113,7 @@ func TestHuMirrorTolerance(t *testing.T) {
 func TestHuSeparatesShapes(t *testing.T) {
 	lref, _ := HuMoments(lShape(200, 200, 100, 100, 1, 0))
 	// A disc is very different from an L.
-	g := raster.MustGray(200, 200)
+	g := mustGray(200, 200)
 	g.FillDisc(100, 100, 30, 255)
 	disc := Threshold(g, 128, true)
 	h, err := HuMoments(disc)
@@ -138,7 +136,7 @@ func TestHuClassifier(t *testing.T) {
 	if err := c.Add("L", lShape(200, 200, 100, 100, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	g := raster.MustGray(200, 200)
+	g := mustGray(200, 200)
 	g.FillDisc(100, 100, 30, 255)
 	if err := c.Add("disc", Threshold(g, 128, true)); err != nil {
 		t.Fatal(err)

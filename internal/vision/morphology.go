@@ -65,15 +65,6 @@ func morph(b *Binary, r int, ops ...morphOp) *Binary {
 	return p.run(&Binary{}, b, r, ops...)
 }
 
-// Dilate returns b dilated by a (2r+1)×(2r+1) square structuring element.
-// Outside the image counts as background.
-func Dilate(b *Binary, r int) *Binary { return morph(b, r, dilateOp) }
-
-// Erode returns b eroded by a (2r+1)×(2r+1) square structuring element.
-// Outside the image counts as foreground (replicated border, as in OpenCV),
-// which keeps Close extensive (Close(b) ⊇ b) everywhere including borders.
-func Erode(b *Binary, r int) *Binary { return morph(b, r, erodeOp) }
-
 // Open erodes then dilates: removes speckle smaller than the element.
 func Open(b *Binary, r int) *Binary { return morph(b, r, erodeOp, dilateOp) }
 

@@ -55,10 +55,10 @@ func (s *Scratch) Open(mask *Binary, r int) *Binary {
 	return s.morph.run(mask, mask, r, erodeOp, dilateOp)
 }
 
-// LargestComponent is the allocation-free variant of the package-level
-// LargestComponent: the largest 8-connected foreground region of mask, as a
-// mask aliasing scratch storage (valid until the next use of s) plus its
-// statistics. It returns ErrEmptyImage when mask has no foreground.
+// LargestComponent extracts the largest 8-connected foreground region of
+// mask without allocating: the region as a mask aliasing scratch storage
+// (valid until the next use of s) plus its statistics. It returns
+// ErrEmptyImage when mask has no foreground.
 func (s *Scratch) LargestComponent(mask *Binary) (*Binary, Component, error) {
 	best, comp, err := s.largest(mask)
 	if err != nil {

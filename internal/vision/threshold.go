@@ -36,27 +36,6 @@ func (b *Binary) At(x, y int) uint8 {
 	return b.Pix[y*b.W+x]
 }
 
-// Set writes a mask pixel; out-of-range writes are ignored.
-func (b *Binary) Set(x, y int, v uint8) {
-	if b.In(x, y) {
-		if v != 0 {
-			v = 1
-		}
-		b.Pix[y*b.W+x] = v
-	}
-}
-
-// Count returns the number of foreground pixels.
-func (b *Binary) Count() int {
-	var n int
-	for _, p := range b.Pix {
-		if p != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns an independent copy.
 func (b *Binary) Clone() *Binary {
 	out := &Binary{W: b.W, H: b.H, Pix: make([]uint8, len(b.Pix))}
@@ -94,14 +73,8 @@ func (b *Binary) CopyInto(dst *Binary) *Binary {
 	return dst
 }
 
-// OtsuThreshold computes Otsu's optimal global threshold for g: the
-// intensity that maximises between-class variance of the histogram.
-func OtsuThreshold(g *raster.Gray) uint8 {
-	hist := g.Histogram()
-	return otsuLevel(&hist, len(g.Pix))
-}
-
-// otsuLevel is OtsuThreshold's search over a histogram of total pixels.
+// otsuLevel is Otsu's threshold search over a histogram of total pixels:
+// the intensity that maximises between-class variance.
 func otsuLevel(hist *[256]int, total int) uint8 {
 	var sumAll float64
 	for i, c := range hist {
@@ -130,22 +103,6 @@ func otsuLevel(hist *[256]int, total int) uint8 {
 		}
 	}
 	return threshold
-}
-
-// Threshold binarises g: pixels strictly above t become foreground when
-// brightForeground, otherwise pixels at or below t do.
-func Threshold(g *raster.Gray, t uint8, brightForeground bool) *Binary {
-	b := NewBinary(g.W, g.H)
-	for i, p := range g.Pix {
-		fg := p > t
-		if !brightForeground {
-			fg = !fg
-		}
-		if fg {
-			b.Pix[i] = 1
-		}
-	}
-	return b
 }
 
 // OtsuBinarize thresholds g at the Otsu level, choosing the polarity that

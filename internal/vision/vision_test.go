@@ -10,7 +10,7 @@ import (
 )
 
 func discImage(w, h int, cx, cy, r float64, fg, bg uint8) *raster.Gray {
-	g := raster.MustGray(w, h)
+	g := mustGray(w, h)
 	g.Fill(bg)
 	g.FillDisc(cx, cy, r, fg)
 	return g
@@ -18,7 +18,8 @@ func discImage(w, h int, cx, cy, r float64, fg, bg uint8) *raster.Gray {
 
 func TestOtsuSeparatesBimodal(t *testing.T) {
 	g := discImage(64, 64, 32, 32, 12, 220, 30)
-	th := OtsuThreshold(g)
+	hist := g.Histogram()
+	th := otsuLevel(&hist, len(g.Pix))
 	if th < 30 || th > 220 {
 		t.Fatalf("Otsu threshold %d outside modes", th)
 	}
@@ -46,7 +47,7 @@ func TestOtsuBinarizePolarity(t *testing.T) {
 }
 
 func TestThresholdExact(t *testing.T) {
-	g := raster.MustGray(2, 1)
+	g := mustGray(2, 1)
 	g.Pix[0] = 100
 	g.Pix[1] = 101
 	b := Threshold(g, 100, true)
@@ -210,7 +211,7 @@ func TestLargestComponent(t *testing.T) {
 		}
 	}
 	b.Set(15, 15, 1)
-	blob, comp, err := LargestComponent(b)
+	blob, comp, err := NewScratch().LargestComponent(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestLargestComponent(t *testing.T) {
 		t.Fatal("small blob must be excluded")
 	}
 	empty := NewBinary(5, 5)
-	if _, _, err := LargestComponent(empty); err == nil {
+	if _, _, err := NewScratch().LargestComponent(empty); err == nil {
 		t.Fatal("empty image should fail")
 	}
 }
@@ -233,7 +234,7 @@ func TestTraceContourSquare(t *testing.T) {
 			b.Set(x, y, 1)
 		}
 	}
-	c, err := TraceContour(b, Point{5, 5})
+	c, err := TraceContourInto(b, Point{5, 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestTraceContourSquare(t *testing.T) {
 func TestTraceContourSinglePixel(t *testing.T) {
 	b := NewBinary(5, 5)
 	b.Set(2, 2, 1)
-	c, err := TraceContour(b, Point{2, 2})
+	c, err := TraceContourInto(b, Point{2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestTraceContourSinglePixel(t *testing.T) {
 
 func TestTraceContourBadStart(t *testing.T) {
 	b := NewBinary(5, 5)
-	if _, err := TraceContour(b, Point{2, 2}); err == nil {
+	if _, err := TraceContourInto(b, Point{2, 2}, nil); err == nil {
 		t.Fatal("background start should fail")
 	}
 }
@@ -279,7 +280,7 @@ func TestContourPerimeter(t *testing.T) {
 			b.Set(x, y, 1)
 		}
 	}
-	c, _ := TraceContour(b, Point{5, 5})
+	c, _ := TraceContourInto(b, Point{5, 5}, nil)
 	p := c.Perimeter()
 	if p < 30 || p > 44 {
 		t.Fatalf("perimeter = %v, want ≈36", p)
@@ -289,7 +290,7 @@ func TestContourPerimeter(t *testing.T) {
 func TestSignatureCircleIsFlat(t *testing.T) {
 	g := discImage(100, 100, 50, 50, 30, 255, 0)
 	mask := OtsuBinarize(g)
-	sig, _, _, err := ExtractSignature(mask, 128)
+	sig, _, _, err := ExtractSignatureNorm(mask, 128, NormNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +312,32 @@ func TestSignatureSquareHasFourLobes(t *testing.T) {
 			b.Set(x, y, 1)
 		}
 	}
-	sig, _, _, err := ExtractSignature(b, 128)
+	sig, _, _, err := ExtractSignatureNorm(b, 128, NormNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Count local maxima of the z-normalised signature: a square has 4
 	// corners → 4 lobes.
-	z := sig.ZNormalize().Smooth(3)
+	z := smoothCircular(sig.ZNormalize(), 3)
 	peaks := countCircularPeaks(z, 0.5)
 	if peaks != 4 {
 		t.Fatalf("square signature has %d peaks, want 4", peaks)
 	}
+}
+
+// smoothCircular is a centred moving average of window 2*half+1 that wraps
+// around the closed contour.
+func smoothCircular(s timeseries.Series, half int) timeseries.Series {
+	n := len(s)
+	out := make(timeseries.Series, n)
+	for i := range s {
+		var sum float64
+		for d := -half; d <= half; d++ {
+			sum += s[((i+d)%n+n)%n]
+		}
+		out[i] = sum / float64(2*half+1)
+	}
+	return out
 }
 
 func countCircularPeaks(s timeseries.Series, minHeight float64) int {
@@ -340,7 +356,7 @@ func countCircularPeaks(s timeseries.Series, minHeight float64) int {
 func TestSignatureRotationShiftsSeries(t *testing.T) {
 	// Rotating a shape in the image plane circularly shifts its signature.
 	mk := func(angle float64) timeseries.Series {
-		g := raster.MustGray(160, 160)
+		g := mustGray(160, 160)
 		// An ellipse drawn as a rotated polygon.
 		var xs, ys []float64
 		for i := 0; i < 64; i++ {
@@ -354,7 +370,7 @@ func TestSignatureRotationShiftsSeries(t *testing.T) {
 		}
 		g.FillPolygon(xs, ys, 255)
 		mask := OtsuBinarize(g)
-		sig, _, _, err := ExtractSignature(mask, 128)
+		sig, _, _, err := ExtractSignatureNorm(mask, 128, NormNone)
 		if err != nil {
 			panic(err)
 		}
@@ -376,12 +392,12 @@ func TestSignatureRotationShiftsSeries(t *testing.T) {
 }
 
 func TestExtractSignatureErrors(t *testing.T) {
-	if _, _, _, err := ExtractSignature(NewBinary(10, 10), 64); err == nil {
+	if _, _, _, err := ExtractSignatureNorm(NewBinary(10, 10), 64, NormNone); err == nil {
 		t.Fatal("empty mask should fail")
 	}
 	b := NewBinary(10, 10)
 	b.Set(5, 5, 1)
-	if _, _, _, err := ExtractSignature(b, 0); err == nil {
+	if _, _, _, err := ExtractSignatureNorm(b, 0, NormNone); err == nil {
 		t.Fatal("bad signature length should fail")
 	}
 }
