@@ -72,9 +72,9 @@ func runStats(dir string, stdout io.Writer) error {
 }
 
 // runInspectStore prints a store directory's physical layout: per-segment
-// occupancy, the WAL backlog, and how much of the dictionary the mapped
-// prune index covers (tail entries keep their histograms on the heap, so
-// coverage below 1.0 means a compaction is due).
+// occupancy, the WAL backlog, and how much of the dictionary is served from
+// mapped segments, the "prune index" line (tail entries live on the heap,
+// so coverage below 1.0 means a compaction is due).
 func runInspectStore(dir string, stdout io.Writer) error {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hdc/internal/drone"
 	"hdc/internal/flight"
@@ -26,20 +25,21 @@ import (
 	"hdc/internal/telemetry"
 )
 
+// The negotiation geometry, the paper's: the drone converses from a 3 m
+// stand-off at 5 m altitude, and the references are built at that view.
+const (
+	standoffM = 3
+	negotAltM = 5
+)
+
 // config collects option state.
 type config struct {
-	seed        int64
-	sceneCfg    scene.Config
-	pipeCfg     pipeline.Config
-	sharedPipe  *pipeline.Pipeline // non-nil: attach instead of owning a pool
-	poolLabel   string             // stats attribution name on the shared pool
-	perceiveDdl time.Duration      // pooled-perception deadline (0: wait)
-	home        geom.Vec3
-	standoff    float64 // negotiation stand-off distance (m)
-	negotAlt    float64 // negotiation altitude (m)
-	windGust    float64
-	windMean    geom.Vec2
-	windSet     bool
+	seed       int64
+	sceneCfg   scene.Config
+	pipeCfg    pipeline.Config
+	sharedPipe *pipeline.Pipeline // non-nil: attach instead of owning a pool
+	poolLabel  string             // stats attribution name on the shared pool
+	home       geom.Vec3
 }
 
 // Option configures NewSystem.
@@ -59,10 +59,10 @@ func WithPipelineConfig(p pipeline.Config) Option { return func(c *config) { c.p
 
 // WithSharedPipeline attaches the system to an externally built worker pool
 // (NewSharedPool, or another system's exported pipeline) instead of starting
-// a private one. Build the pool with the same scene and negotiation-geometry
-// options as the systems that attach to it: the pool recognises against its
-// own reference database, so a resolution or view mismatch between a drone's
-// camera and the pool silently degrades recognition. The attachment is made
+// a private one. Build the pool with the same scene options as the systems
+// that attach to it: the pool recognises against its own reference
+// database, so a resolution mismatch between a drone's camera and the pool
+// silently degrades recognition. The attachment is made
 // inside NewSystem — so the pool's reference count always matches the set of
 // constructed systems — and NewSystem fails with pipeline.ErrClosed if the
 // pool has already shut down.
@@ -94,17 +94,13 @@ type System struct {
 	Log    *telemetry.Log
 	Rng    *rand.Rand
 
-	standoff float64
-	negotAlt float64
-
-	pipeCfg          pipeline.Config
-	sharedPipe       *pipeline.Pipeline // non-nil: externally owned shared pool
-	poolLabel        string
-	perceiveDeadline time.Duration // pooled-perception wall-clock budget (0: wait)
-	pipeOnce         sync.Once
-	pipe             atomic.Pointer[pipeline.Pipeline]
-	owner            atomic.Pointer[pipeline.Owner] // this system's attachment handle
-	pipeErr          error
+	pipeCfg    pipeline.Config
+	sharedPipe *pipeline.Pipeline // non-nil: externally owned shared pool
+	poolLabel  string
+	pipeOnce   sync.Once
+	pipe       atomic.Pointer[pipeline.Pipeline]
+	owner      atomic.Pointer[pipeline.Owner] // this system's attachment handle
+	pipeErr    error
 
 	feedOnce sync.Once
 	feed     *perceptionFeed // pool-routed conversation perception (shared systems)
@@ -116,11 +112,7 @@ type System struct {
 // NewSystem assembles a system: drone at home, references built at the
 // paper's canonical view, engine ready.
 func NewSystem(opts ...Option) (*System, error) {
-	cfg := &config{
-		seed:     1,
-		standoff: 3,
-		negotAlt: 5,
-	}
+	cfg := &config{seed: 1}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -131,38 +123,25 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.windSet {
-		w, err := flight.NewWind(cfg.windMean, cfg.windGust, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		agent.D.Wind = w
-	}
-
 	rend := scene.NewRenderer(cfg.sceneCfg)
 	rec, err := recognizer.New(recognizer.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := rec.BuildReferences(rend, scene.View{
-		AltitudeM: cfg.negotAlt, DistanceM: cfg.standoff,
-	}); err != nil {
+	if err := rec.BuildReferences(rend, scene.View{AltitudeM: negotAltM, DistanceM: standoffM}); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	sys := &System{
-		Agent:            agent,
-		Rend:             rend,
-		Rec:              rec,
-		Engine:           protocol.NewEngine(protocol.Config{}, log),
-		Log:              log,
-		Rng:              rng,
-		standoff:         cfg.standoff,
-		negotAlt:         cfg.negotAlt,
-		pipeCfg:          cfg.pipeCfg,
-		sharedPipe:       cfg.sharedPipe,
-		poolLabel:        cfg.poolLabel,
-		perceiveDeadline: cfg.perceiveDdl,
+		Agent:      agent,
+		Rend:       rend,
+		Rec:        rec,
+		Engine:     protocol.NewEngine(protocol.Config{}, log),
+		Log:        log,
+		Rng:        rng,
+		pipeCfg:    cfg.pipeCfg,
+		sharedPipe: cfg.sharedPipe,
+		poolLabel:  cfg.poolLabel,
 	}
 	if cfg.sharedPipe != nil {
 		// Attach eagerly: the pool's reference count must reflect every
@@ -177,18 +156,14 @@ func NewSystem(opts ...Option) (*System, error) {
 
 // NewSharedPool builds a standalone recognition worker pool for a fleet: a
 // renderer and recogniser assembled from the same options NewSystem honours
-// (scene, negotiation geometry and pipeline sizing; world options are
-// irrelevant here and ignored), references built at the canonical
-// negotiation view, and the workers started. Hand the pool to N
+// (scene and pipeline sizing; world options are irrelevant here and
+// ignored), references built at the canonical negotiation view, and the
+// workers started. Hand the pool to N
 // systems via WithSharedPipeline; it drains when the last attached system
 // closes, or immediately on Pipeline.Close (the force path). A pool nobody
 // ever attaches to must be shut down with Pipeline.Close.
 func NewSharedPool(opts ...Option) (*pipeline.Pipeline, error) {
-	cfg := &config{
-		seed:     1,
-		standoff: 3,
-		negotAlt: 5,
-	}
+	cfg := &config{seed: 1}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -197,9 +172,7 @@ func NewSharedPool(opts ...Option) (*pipeline.Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: shared pool: %w", err)
 	}
-	if err := rec.BuildReferences(rend, scene.View{
-		AltitudeM: cfg.negotAlt, DistanceM: cfg.standoff,
-	}); err != nil {
+	if err := rec.BuildReferences(rend, scene.View{AltitudeM: negotAltM, DistanceM: standoffM}); err != nil {
 		return nil, fmt.Errorf("core: shared pool: %w", err)
 	}
 	p, err := pipeline.New(rec, cfg.pipeCfg)
@@ -245,6 +218,6 @@ func (s *System) StandoffPoint(c *human.Collaborator) geom.Vec3 {
 	if dir.Norm() < 1e-9 {
 		dir = geom.V2(0, -1)
 	}
-	p := hp.Add(dir.Unit().Scale(s.standoff))
-	return geom.V3(p.X, p.Y, s.negotAlt)
+	p := hp.Add(dir.Unit().Scale(standoffM))
+	return geom.V3(p.X, p.Y, negotAltM)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"hdc/internal/flight"
 	"hdc/internal/geom"
@@ -98,19 +97,6 @@ func TestStandoffPointGeometry(t *testing.T) {
 	}
 }
 
-func TestWithNegotiationGeometry(t *testing.T) {
-	s := newSystem(t, WithNegotiationGeometry(4, 6))
-	rng := rand.New(rand.NewSource(3))
-	c, _ := human.New("w", human.RoleWorker, geom.V2(10, 10), rng)
-	p := s.StandoffPoint(c)
-	if d := p.XY().Dist(c.Pos); d < 3.9 || d > 4.1 {
-		t.Fatalf("standoff distance %v, want ≈4", d)
-	}
-	if p.Z != 6 {
-		t.Fatalf("altitude %v, want 6", p.Z)
-	}
-}
-
 func TestConverseRespectsSafetyAbort(t *testing.T) {
 	// A tiny battery forces a safety abort mid-conversation; the outcome
 	// must be Aborted with the danger display raised, never an entry.
@@ -154,46 +140,5 @@ func TestSystemDeterministicBySeed(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different outcomes")
-	}
-}
-
-func TestWithWind(t *testing.T) {
-	s := newSystem(t, WithWind(geom.V2(1, 0), 0.3), WithSeed(4))
-	if s.Agent.D.Wind == nil {
-		t.Fatal("wind not installed")
-	}
-	if err := s.EnsureAirborne(); err != nil {
-		t.Fatal(err)
-	}
-	// A short cruise still succeeds under wind.
-	if _, err := s.Agent.FlyPattern(flight.PatternCruise, geom.V3(10, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// WithPerceptionDeadline bounds (in wall-clock time) how long a shared
-// system's conversation perception waits for the fleet pool before giving
-// the frame up: past the deadline the conversation perceives nothing and the
-// abandoned frame is shed at the drone's own ring or discarded when its late
-// result lands. Ignored on systems without WithSharedPipeline.
-func WithPerceptionDeadline(d time.Duration) Option {
-	return func(c *config) { c.perceiveDdl = d }
-}
-
-// WithNegotiationGeometry sets the stand-off distance and altitude used
-// when conversing (defaults: the paper's 3 m and 5 m).
-func WithNegotiationGeometry(standoffM, altitudeM float64) Option {
-	return func(c *config) {
-		c.standoff = standoffM
-		c.negotAlt = altitudeM
-	}
-}
-
-// WithWind adds a wind field (mean + gust standard deviation).
-func WithWind(mean geom.Vec2, gustStd float64) Option {
-	return func(c *config) {
-		c.windMean = mean
-		c.windGust = gustStd
-		c.windSet = true
 	}
 }

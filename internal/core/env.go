@@ -72,11 +72,11 @@ func (e *conversationEnv) FlyPattern(p flight.Pattern) error {
 	case flight.PatternPoke:
 		e.lastPoked = true
 		hp := e.human.Position()
-		target = geom.V3(hp.X, hp.Y, e.sys.negotAlt)
+		target = geom.V3(hp.X, hp.Y, negotAltM)
 	case flight.PatternRectangle:
 		e.lastAsked = true
 		hp := e.human.Position()
-		target = geom.V3(hp.X, hp.Y, e.sys.negotAlt)
+		target = geom.V3(hp.X, hp.Y, negotAltM)
 	}
 	_, err := a.FlyPattern(p, target)
 	return mapErr(err)
@@ -184,7 +184,7 @@ func (e *conversationEnv) EnterArea() error {
 	a := e.sys.Agent
 	a.WaiveSeparation(true)
 	hp := e.human.Position()
-	target := geom.V3(hp.X, hp.Y, e.sys.negotAlt*0.6)
+	target := geom.V3(hp.X, hp.Y, negotAltM*0.6)
 	_, err := a.FlyPattern(flight.PatternCruise, target)
 	return mapErr(err)
 }
@@ -199,8 +199,8 @@ func (e *conversationEnv) Retreat() error {
 	if dir.Norm() < 1e-9 {
 		dir = geom.V2(0, -1)
 	}
-	p := hp.Add(dir.Unit().Scale(2 * e.sys.standoff))
-	_, err := a.FlyPattern(flight.PatternCruise, geom.V3(p.X, p.Y, e.sys.negotAlt))
+	p := hp.Add(dir.Unit().Scale(2 * standoffM))
+	_, err := a.FlyPattern(flight.PatternCruise, geom.V3(p.X, p.Y, negotAltM))
 	return mapErr(err)
 }
 

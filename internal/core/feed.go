@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"hdc/internal/pipeline"
 	"hdc/internal/raster"
@@ -13,34 +12,27 @@ import (
 // feed.go routes a shared system's conversation perception through the fleet
 // pool. Each drone's camera frames pass through a private bounded ring
 // (pipeline.Source) into an owner-attributed stream, so recognition capacity
-// is drawn from the fleet-level pool. Overload degrades per drone: with a
-// perception deadline set (config.perceiveDdl), a drone whose frame is
-// not served in time gives up on that frame — the next offer evicts it from
-// the 1-slot ring (shed, owner-attributed) and the conversation simply
-// perceives nothing, handing control to the protocol's timeout machinery —
-// instead of queueing unboundedly or starving the rest of the fleet. Without
-// a deadline (the default, and the deterministic choice for simulation),
-// perceive waits for the pool: the per-stream window still bounds how much
-// of the pool one drone can hold, so fleet isolation holds either way.
-// Private (non-shared) systems keep the direct synchronous render→recognise
-// path; their pool has no competing tenants.
+// is drawn from the fleet-level pool. perceive waits for the pool, the
+// deterministic choice for simulation: the per-stream window bounds how much
+// of the pool one drone can hold, so one drone cannot starve the rest of the
+// fleet. Private (non-shared) systems keep the direct synchronous
+// render→recognise path; their pool has no competing tenants.
 //
 // Frame ownership in pooled mode: perceive takes ownership of the frame at
 // Offer and recycles every frame it ever offered back into the system's
-// framePool exactly once — on delivery, on ring eviction, or when a late
-// result of an abandoned (timed-out) frame finally lands. Callers therefore
-// render each pooled perception into a fresh framePool buffer and never
-// touch it again.
+// framePool exactly once — on delivery or on ring eviction. Callers
+// therefore render each pooled perception into a fresh framePool buffer and
+// never touch it again.
 
-// errFrameShed reports that a perception frame was shed (ring eviction under
-// pool pressure) or abandoned at its deadline; conversations treat it as
-// "nothing perceived", never as a hard failure.
+// errFrameShed reports that a perception frame was shed (ring eviction or
+// feed teardown); conversations treat it as "nothing perceived", never as a
+// hard failure.
 var errFrameShed = errors.New("core: perception frame shed under pool pressure")
 
 // perceptionFeed is one system's camera lane into its (typically shared)
 // worker pool: an owner-attributed stream fronted by a 1-slot drop-oldest
 // ring, plus the bookkeeping that pairs the single in-flight perception with
-// its result, shed notice, or deadline. Conversations are documented
+// its result or shed notice. Conversations are documented
 // non-concurrent per system, so at most one perception is waiting at a time.
 type perceptionFeed struct {
 	sys *System
@@ -108,34 +100,26 @@ func (f *perceptionFeed) dropped(frame *raster.Gray) {
 	f.sys.framePool.Put(frame)
 }
 
-// finish resolves a delivered result frame: report whether it belongs to the
-// current perception, and recycle the buffer.
-func (f *perceptionFeed) finish(frame *raster.Gray) (current bool) {
+// finish resolves the current perception's delivered result frame and
+// recycles the buffer.
+func (f *perceptionFeed) finish(frame *raster.Gray) {
 	f.mu.Lock()
 	if frame == f.cur {
 		f.cur = nil
-		current = true
 	}
 	f.mu.Unlock()
 	if frame != nil {
 		f.sys.framePool.Put(frame)
 	}
-	return current
 }
 
 // perceive pushes one rendered frame through the ring and waits for the
-// pool's verdict, a shed notice, or — when the system has a perception
-// deadline — the deadline. Ownership of frame passes to the feed (see the
-// file comment); on every return path the buffer is or will be recycled.
+// pool's verdict or a shed notice. Ownership of frame passes to the feed
+// (see the file comment); on every return path the buffer is or will be
+// recycled.
 func (f *perceptionFeed) perceive(frame *raster.Gray) (recognizer.Result, error) {
 	f.mu.Lock()
 	f.cur = frame
-	// Drain a stale shed token from a perception that timed out in the same
-	// instant its frame was evicted.
-	select {
-	case <-f.curShed:
-	default:
-	}
 	f.mu.Unlock()
 
 	if err := f.src.Offer(frame); err != nil {
@@ -146,32 +130,15 @@ func (f *perceptionFeed) perceive(frame *raster.Gray) (recognizer.Result, error)
 		return recognizer.Result{}, err
 	}
 
-	var deadline <-chan time.Time
-	if d := f.sys.perceiveDeadline; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	for {
-		select {
-		case r, ok := <-f.st.Results():
-			if !ok {
-				return recognizer.Result{}, pipeline.ErrClosed
-			}
-			if f.finish(r.Frame) {
-				return r.Res, r.Err
-			}
-			// A late result of an abandoned frame: recycled, keep waiting.
-		case <-f.curShed:
-			return recognizer.Result{}, errFrameShed
-		case <-deadline:
-			// Give up on this frame; it stays in flight and resolves later
-			// as a stale result or a ring eviction, recycling its buffer.
-			f.mu.Lock()
-			f.cur = nil
-			f.mu.Unlock()
-			return recognizer.Result{}, errFrameShed
+	select {
+	case r, ok := <-f.st.Results():
+		if !ok {
+			return recognizer.Result{}, pipeline.ErrClosed
 		}
+		f.finish(r.Frame)
+		return r.Res, r.Err
+	case <-f.curShed:
+		return recognizer.Result{}, errFrameShed
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"hdc/internal/body"
 	"hdc/internal/geom"
@@ -14,7 +13,6 @@ import (
 	"hdc/internal/pipeline"
 	"hdc/internal/protocol"
 	"hdc/internal/raster"
-	"hdc/internal/recognizer"
 	"hdc/internal/scene"
 )
 
@@ -187,91 +185,6 @@ func TestSharedConversePerceivesThroughPool(t *testing.T) {
 	}
 	if s := pool.Stats(); !s.Closed {
 		t.Fatal("pool open after fleet closed")
-	}
-}
-
-// TestPerceptionDeadlineShedsAtOwnRing pins the fleet degradation contract
-// end to end: with the pool's only worker wedged and a perception deadline
-// set, a drone's conversations keep terminating — every perception gives its
-// frame up at the deadline, the backlog is shed at the drone's own ring
-// (owner-attributed), and once the worker is released every pooled frame
-// buffer comes back (no leak), with late results of abandoned frames
-// discarded silently.
-func TestPerceptionDeadlineShedsAtOwnRing(t *testing.T) {
-	pool, err := NewSharedPool(
-		WithSceneConfig(scene.Config{Width: 128, Height: 128}),
-		WithPipelineConfig(pipeline.Config{Workers: 1, QueueDepth: 1, StreamWindow: 2}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := newSystem(t,
-		WithSeed(3),
-		WithSceneConfig(scene.Config{Width: 128, Height: 128}),
-		WithSharedPipeline(pool),
-		WithPoolLabel("drone-wedged"),
-		WithPerceptionDeadline(20*time.Millisecond),
-	)
-
-	// Wedge the single worker: a proc stream whose frame blocks until
-	// released.
-	release := make(chan struct{})
-	blocker, err := pool.NewProcStream(func(sc *recognizer.Scratch, seq uint64, f *raster.Gray) (recognizer.Result, error) {
-		<-release
-		return recognizer.Result{}, recognizer.ErrNoSign
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wedgeFrame, err := sys.Rend.Render(body.SignYes, scene.ReferenceView(), body.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blocker.Submit(wedgeFrame); err != nil {
-		t.Fatal(err)
-	}
-
-	// Conversations against a responsive supervisor: every perception times
-	// out, yet each conversation terminates (the protocol's own retry and
-	// timeout machinery decides the outcome).
-	rng := rand.New(rand.NewSource(9))
-	for round := 0; round < 3; round++ {
-		c, err := human.New("sup", human.RoleSupervisor, geom.V2(0, float64(4*round)), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Converse(c); err != nil {
-			t.Fatalf("round %d: conversation failed hard under a wedged pool: %v", round, err)
-		}
-	}
-
-	owner := sys.Owner().Stats()
-	if owner.IngestAccepted == 0 {
-		t.Fatal("no perception frames entered the ring")
-	}
-	if owner.IngestDropped == 0 {
-		t.Fatalf("wedged pool + deadline shed nothing at the drone's ring: %+v", owner)
-	}
-
-	// Release the worker, drain everything, and account for every pooled
-	// frame buffer: abandoned frames' late results must have been recycled.
-	close(release)
-	blocker.Close()
-	for range blocker.Results() {
-	}
-	sys.Close()
-	// Late results of abandoned frames recycle on pool goroutines after
-	// Close returns, so the balance is eventual — poll instead of racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		gets, puts := sys.framePool.Stats()
-		if gets == puts {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frame pool leak: %d gets vs %d puts", gets, puts)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -246,8 +246,8 @@ func E22Store() (string, error) {
 	sb.WriteString("in memory at start-up — fine for three words, untenable for the\n")
 	sb.WriteString("fleet-scale dictionaries E18 motivates. The segmented store keeps the\n")
 	sb.WriteString("dictionary in immutable mmap-able segment files (fixed-width columns:\n")
-	sb.WriteString("SAX words, z-normalised series, and a precomputed symbol-histogram\n")
-	sb.WriteString("block for the degraded mode), appends through a checksummed WAL, and\n")
+	sb.WriteString("SAX words and z-normalised series, plus a reserved symbol-histogram\n")
+	sb.WriteString("block that nothing reads), appends through a checksummed WAL, and\n")
 	sb.WriteString("folds the tail into sealed segments in the background. The cascade's\n")
 	sb.WriteString("spectral bound reads per-entry |DFT| magnitudes that each segment\n")
 	sb.WriteString("derives from its mapped series on its first lookup, so opening stays\n")

@@ -39,10 +39,10 @@ func e23RunFor() time.Duration {
 // delayed — the "slow disk" drill); and offered overload (worker dispatch
 // delayed with 4× the operators — demand far above pool capacity). Under
 // both fault scenarios the service keeps answering inside a bounded p99 by
-// degrading: past the admission watermark it answers from the cascade's
-// stage-0 histogram bound on the request goroutine (marked degraded:true,
-// no pool round trip), so the degraded fraction is the price paid for the
-// bounded tail.
+// degrading: past the admission watermark it runs the pool's own recognizer
+// on the request goroutine (marked degraded:true, no pool round trip), so
+// the degraded fraction is the share of frames that skipped the queue. The
+// verdicts are the pool's.
 func E23Dependability() (string, error) {
 	defer failpoint.DisableAll()
 
@@ -156,15 +156,17 @@ func E23Dependability() (string, error) {
 	sb.WriteString("internal/failpoint injects the faults the layer absorbs. \"store\n")
 	sb.WriteString("stall\" delays every mapped lookup 1 ms (a slow disk); \"overload\"\n")
 	sb.WriteString("delays worker dispatch 2 ms under 4× the operators (demand far above\n")
-	sb.WriteString("pool capacity). Past the admission watermark the service answers from\n")
-	sb.WriteString("the cascade's stage-0 histogram bound on the request goroutine —\n")
-	sb.WriteString("marked degraded:true per result — instead of queuing without bound.\n\n")
+	sb.WriteString("pool capacity). Past the admission watermark the service runs the\n")
+	sb.WriteString("pool's own recognizer on the request goroutine — marked degraded:true\n")
+	sb.WriteString("per result — instead of queuing without bound.\n\n")
 	sb.WriteString(tab.Markdown())
 	sb.WriteString(fmt.Sprintf("\nHost: GOMAXPROCS=%d, NumCPU=%d, run length %v per row, batch %d.\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), runFor, batch))
 	sb.WriteString("The p99 stays bounded through both fault scenarios because degraded\n")
-	sb.WriteString("stage-0 answers bypass the stalled pool; the degraded column is the\n")
-	sb.WriteString("fraction of frames that paid that accuracy price. Zero failures means\n")
+	sb.WriteString("answers bypass the backed-up pool queue; the degraded column is the\n")
+	sb.WriteString("fraction of frames answered that way. A degraded answer is the same\n")
+	sb.WriteString("verdict the pool gives, exact lookup included, so side-on dead-zone\n")
+	sb.WriteString("frames are still refused under load. Zero failures means\n")
 	sb.WriteString("no request was dropped — shedding shows up as 429+Retry-After to the\n")
 	sb.WriteString("retrying client, not as an error. The chaos suite\n")
 	sb.WriteString("(internal/server/chaos_test.go) drives the same machinery under\n")

@@ -293,6 +293,22 @@ func TestFeaturesNodCycles(t *testing.T) {
 	}
 }
 
+// TestNodsHoldAltitude pins that a nod ends at its start altitude: 60 nods
+// back to back leave the drone within 5 cm of where it began.
+func TestNodsHoldAltitude(t *testing.T) {
+	d := airborne(t)
+	e := NewExecutor(d)
+	start := d.S.Pos.Z
+	for i := 0; i < 60; i++ {
+		if _, err := e.Fly(PatternNod, geom.Vec3{}); err != nil {
+			t.Fatalf("nod %d: %v", i, err)
+		}
+	}
+	if drift := math.Abs(d.S.Pos.Z - start); drift >= 0.05 {
+		t.Fatalf("60 nods moved altitude %.3f → %.3f m", start, d.S.Pos.Z)
+	}
+}
+
 func TestFeaturesHeadTurnYaw(t *testing.T) {
 	d := airborne(t)
 	e := NewExecutor(d)

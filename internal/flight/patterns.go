@@ -212,7 +212,9 @@ func (e *Executor) Fly(p Pattern, target geom.Vec3) (Trajectory, error) {
 			d.FlyTo(up, d.P.MaxAscent, dt, 5, 0.1, rec)
 			d.FlyTo(dn, d.P.MaxDescent, dt, 5, 0.1, rec)
 		}
-		d.FlyTo(base, d.P.MaxAscent, dt, 5, 0.1, rec)
+		// The return leg arrives from below, so a loose tolerance would
+		// leave each nod lower than the last: it ends at its start altitude.
+		d.FlyTo(base, d.P.MaxAscent, dt, 5, 0.001, rec)
 
 	case PatternHeadTurn:
 		if err := e.requireAirborne(); err != nil {

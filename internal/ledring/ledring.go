@@ -68,9 +68,6 @@ const (
 	ModeDanger Mode = iota + 1
 	// ModeNavigation shows the direction-coded red/green/white pattern.
 	ModeNavigation
-	// ModeAllGreen shows all green. The paper reports no consensus on its
-	// use; it is implemented but must be enabled in Options.
-	ModeAllGreen
 	// ModeOff extinguishes the ring (rotors off after landing, Fig 2).
 	ModeOff
 )
@@ -82,8 +79,6 @@ func (m Mode) String() string {
 		return "danger"
 	case ModeNavigation:
 		return "navigation"
-	case ModeAllGreen:
-		return "all-green"
 	case ModeOff:
 		return "off"
 	default:
@@ -98,9 +93,6 @@ const DefaultLEDCount = 10
 type Options struct {
 	// LEDCount is the number of LEDs around the ring (default 10).
 	LEDCount int
-	// AllowAllGreen permits ModeAllGreen (paper: no consensus — off by
-	// default).
-	AllowAllGreen bool
 	// VerticalArray enables the deprecated take-off/landing animation
 	// column (user feedback: confusing; kept for the E11 ablation).
 	VerticalArray int // number of LEDs in the column, 0 = absent
@@ -190,10 +182,6 @@ func (r *Ring) refresh() {
 	case ModeDanger:
 		for i := range r.leds {
 			r.leds[i] = Red
-		}
-	case ModeAllGreen:
-		for i := range r.leds {
-			r.leds[i] = Green
 		}
 	case ModeOff:
 		for i := range r.leds {

@@ -1,7 +1,6 @@
 package ledring
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -50,22 +49,6 @@ func TestModeTransitions(t *testing.T) {
 	for _, c := range r.LEDs() {
 		if c != Off {
 			t.Fatal("off mode must extinguish all LEDs")
-		}
-	}
-}
-
-func TestAllGreenGate(t *testing.T) {
-	r, _ := New(Options{})
-	if err := r.SetAllGreen(); err == nil {
-		t.Fatal("all-green must be rejected by default (no consensus, §II)")
-	}
-	r2, _ := New(Options{AllowAllGreen: true})
-	if err := r2.SetAllGreen(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range r2.LEDs() {
-		if c != Green {
-			t.Fatal("all-green display wrong")
 		}
 	}
 }
@@ -366,16 +349,6 @@ func TestPulseStrings(t *testing.T) {
 			t.Fatal("empty pulse string")
 		}
 	}
-}
-
-// SetAllGreen switches to the all-green display if allowed by Options.
-func (r *Ring) SetAllGreen() error {
-	if !r.opts.AllowAllGreen {
-		return errors.New("ledring: all-green display not enabled (no consensus, §II)")
-	}
-	r.mode = ModeAllGreen
-	r.refresh()
-	return nil
 }
 
 // StopVertical extinguishes the vertical array.

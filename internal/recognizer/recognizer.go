@@ -293,11 +293,10 @@ func (r *Recognizer) RecognizeWith(sc *Scratch, frame *raster.Gray) (Result, err
 	return r.recognize(sc, frame)
 }
 
-// frontHalf runs the vision and encoding stages shared by the full and
-// degraded paths — frame through SAX word, timings recorded into res — and
-// returns the z-normalised signature and its word. t0 is the recognition's
-// start instant; on error res.Timings.Total is already closed out.
-func (r *Recognizer) frontHalf(sc *Scratch, frame *raster.Gray, res *Result, t0 time.Time) (timeseries.Series, sax.Word, error) {
+// recognize is the shared implementation behind Recognize and its variants.
+func (r *Recognizer) recognize(sc *Scratch, frame *raster.Gray) (Result, error) {
+	var res Result
+	t0 := time.Now()
 	vs := sc.v
 
 	mask := vs.Binarize(frame)
@@ -313,7 +312,7 @@ func (r *Recognizer) frontHalf(sc *Scratch, frame *raster.Gray, res *Result, t0 
 	res.Timings.Contour = t3.Sub(t2)
 	if err != nil {
 		res.Timings.Total = time.Since(t0)
-		return nil, sax.Word{}, fmt.Errorf("recognizer: %w", err)
+		return res, fmt.Errorf("recognizer: %w", err)
 	}
 	res.Area = comp.Area
 	// The scratch-owned signature is normalised into a fresh series: the
@@ -325,20 +324,9 @@ func (r *Recognizer) frontHalf(sc *Scratch, frame *raster.Gray, res *Result, t0 
 	res.Timings.Encode = time.Since(t3)
 	if err != nil {
 		res.Timings.Total = time.Since(t0)
-		return nil, sax.Word{}, fmt.Errorf("recognizer: %w", err)
+		return res, fmt.Errorf("recognizer: %w", err)
 	}
 	res.Word = word
-	return z, word, nil
-}
-
-// recognize is the shared implementation behind Recognize and its variants.
-func (r *Recognizer) recognize(sc *Scratch, frame *raster.Gray) (Result, error) {
-	var res Result
-	t0 := time.Now()
-	z, word, err := r.frontHalf(sc, frame, &res, t0)
-	if err != nil {
-		return res, err
-	}
 	t4 := time.Now()
 
 	// Top-4 lookup: the nearest entry decides the sign; the distance margin
@@ -366,53 +354,6 @@ func (r *Recognizer) recognize(sc *Scratch, frame *raster.Gray) (Result, error) 
 	}
 	res.Label = match.Label
 	if s, ok := signFor(match.Label); ok {
-		res.Sign = s
-	}
-	res.OK = true
-	return res, nil
-}
-
-// RecognizeDegraded is the overload/fault escape hatch: the same vision
-// front half, but the dictionary match runs only stage 0 (the
-// symbol-histogram lower bound — see sax.HistNearest) instead of the
-// two-stage exact lookup cascade. It is cheap enough to run on a request
-// goroutine without the worker pool, which is exactly when the serving layer
-// uses it. The returned Result has no RunnerUp/Margin/Confidence (stage 0
-// ranks by a bound, not exact distances) and Match.Dist is the bound — an
-// underestimate — so acceptance against the threshold is optimistic: answers
-// must be marked degraded on the wire. Scratch buffers come from the shared
-// pool; loop callers use RecognizeDegradedWith.
-func (r *Recognizer) RecognizeDegraded(frame *raster.Gray) (Result, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return r.RecognizeDegradedWith(sc, frame)
-}
-
-// RecognizeDegradedWith is RecognizeDegraded with a caller-owned scratch.
-func (r *Recognizer) RecognizeDegradedWith(sc *Scratch, frame *raster.Gray) (Result, error) {
-	if sc == nil {
-		return r.RecognizeDegraded(frame)
-	}
-	var res Result
-	t0 := time.Now()
-	_, word, err := r.frontHalf(sc, frame, &res, t0)
-	if err != nil {
-		return res, err
-	}
-	t4 := time.Now()
-	m, ok := r.dict.NearestHist(sc.lk, word)
-	t5 := time.Now()
-	res.Timings.Match = t5.Sub(t4)
-	res.Timings.Total = t5.Sub(t0)
-	if !ok {
-		return res, ErrNoSign
-	}
-	res.Match = m
-	if m.Dist > r.cfg.Threshold {
-		return res, ErrNoSign
-	}
-	res.Label = m.Label
-	if s, ok := signFor(m.Label); ok {
 		res.Sign = s
 	}
 	res.OK = true

@@ -21,8 +21,7 @@ import (
 
 // Corpus is the storage abstraction the lookup cascade runs over: anything
 // that can enumerate per-entry spectra (the cascade's candidate scan) and
-// symbol histograms (the degraded-mode scan, see HistNearest), and resolve
-// an entry reference to a view on demand.
+// resolve an entry reference to a view on demand.
 //
 // Implementations must be safe for the duration of one lookup: references
 // handed to the scratch during a scan must stay resolvable by View until the
@@ -31,10 +30,6 @@ import (
 type Corpus interface {
 	// ScanSpectra records every entry with sc.AppendSpectral.
 	ScanSpectra(sc *LookupScratch)
-	// ScanHist records every entry with sc.AppendCandidate and its
-	// histogram lower bound against the query histogram qh
-	// (Encoder.HistLowerBoundRaw).
-	ScanHist(sc *LookupScratch, qh []uint16)
 	// View resolves ref. The view borrows the corpus's storage — heap
 	// entries or mapped segment memory — and copies nothing.
 	View(sc *LookupScratch, ref uint64) EntryView
@@ -51,24 +46,13 @@ type EntryView struct {
 }
 
 // cand is one candidate-heap element: an opaque corpus reference, the
-// entry's insertion seq (deterministic tie break), its lower bound — the
-// squared spectral bound in the cascade, the histogram bound in degraded
-// mode — and, in the cascade, the entry's squared norm for the bound's
-// tolerance.
+// entry's insertion seq (deterministic tie break), its squared spectral
+// lower bound and the entry's squared norm for the bound's tolerance.
 type cand struct {
 	ref uint64
 	seq uint64
 	lb  float64
 	ee  float64
-}
-
-// AppendCandidate records one degraded-mode candidate into the scratch: an
-// opaque entry reference (resolved later via Corpus.View), the entry's
-// insertion sequence number and its histogram lower bound. Corpus
-// implementations call it from ScanHist; the append reuses the scratch's
-// candidate storage, so the steady state allocates nothing.
-func (sc *LookupScratch) AppendCandidate(ref, seq uint64, lb float64) {
-	sc.cands = append(sc.cands, cand{ref: ref, seq: seq, lb: lb})
 }
 
 // AppendSpectral records one cascade candidate: an opaque entry reference,
@@ -132,21 +116,6 @@ func heapPop(h []cand) (cand, []cand) {
 		siftDown(h, 0)
 	}
 	return top, h
-}
-
-// heapPush inserts c, restoring the heap property.
-func heapPush(h []cand, c cand) []cand {
-	h = append(h, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !candLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
 }
 
 // insertTopK inserts m (with tie-break seq) into the ascending

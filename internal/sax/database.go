@@ -23,9 +23,6 @@ type Entry struct {
 	// cascade's spectral stage.
 	spec timeseries.Spectrum
 
-	// hist is the symbol histogram of Word, the degraded mode's prefilter.
-	hist []uint16
-
 	// seq is the global insertion sequence number: a stable identity used to
 	// break exact distance ties deterministically, so the indexed cascade and
 	// the linear reference scan elect the same winner regardless of visit
@@ -162,27 +159,21 @@ func (db *Database) insert(label string, w Word, z timeseries.Series) {
 
 // NewEntry builds the in-memory form of one prepared entry (z canonical-
 // length and z-normalised, w its encoding) with global insertion sequence
-// number seq, precomputing its Spectrum with tab (a table of z's length)
-// and its symbol histogram. It is the one constructor for in-memory
-// entries: the Database and the on-disk store's unsealed tail both hold its
-// values.
+// number seq, precomputing its Spectrum with tab (a table of z's length).
+// It is the one constructor for in-memory entries: the Database and the
+// on-disk store's unsealed tail both hold its values.
 func NewEntry(tab *timeseries.SpecTable, seq uint64, label string, w Word, z timeseries.Series) Entry {
 	return Entry{
 		Label:  label,
 		Word:   w,
 		Series: z,
 		spec:   tab.Of(z),
-		hist:   histOf(w),
 		seq:    seq,
 	}
 }
 
 // Seq returns the entry's global insertion sequence number.
 func (e *Entry) Seq() uint64 { return e.seq }
-
-// Hist returns the entry's symbol histogram. The slice is shared: callers
-// must not modify it.
-func (e *Entry) Hist() []uint16 { return e.hist }
 
 // snapshot returns the entries in insertion (seq) order as a point-in-time
 // slice header: the backing array is append-only immutable, so callers read

@@ -41,13 +41,11 @@ type LookupStats struct {
 }
 
 // LookupScratch holds the reusable per-caller state of the lookup cascade:
-// the candidate heap, the top-k working set, the prepared aligner and the
-// degraded mode's query histogram. Hold one per worker goroutine (it must
-// not be shared between concurrent lookups) and pass it to
-// LookupZWith/LookupKZWith; after the first few calls the cascade reaches a
-// zero-allocation steady state.
+// the candidate heap, the top-k working set and the prepared aligner. Hold
+// one per worker goroutine (it must not be shared between concurrent
+// lookups) and pass it to LookupZWith/LookupKZWith; after the first few
+// calls the cascade reaches a zero-allocation steady state.
 type LookupScratch struct {
-	qHist    []uint16
 	cands    []cand
 	maxEE    float64 // largest squared entry norm among cands
 	matchSeq []uint64
@@ -90,16 +88,6 @@ func ScanEntrySpectra(sc *LookupScratch, entries []Entry) {
 	}
 }
 
-// ScanEntryHists is ScanEntrySpectra for the degraded-mode scan: each
-// entry's histogram lower bound against qh, for a corpus of series length
-// n.
-func ScanEntryHists(sc *LookupScratch, enc *Encoder, n int, qh []uint16, entries []Entry) {
-	for i := range entries {
-		e := &entries[i]
-		sc.AppendCandidate(uint64(i), e.seq, enc.histLowerBound(qh, e.hist, n))
-	}
-}
-
 // View returns the cascade's read model of the entry.
 func (e *Entry) View() EntryView {
 	return EntryView{Label: e.Label, Word: e.Word, Series: e.Series}
@@ -114,13 +102,6 @@ type dbCorpus struct{ db *Database }
 func (c *dbCorpus) ScanSpectra(sc *LookupScratch) {
 	sc.snap = c.db.snapshot()
 	ScanEntrySpectra(sc, sc.snap)
-}
-
-// ScanHist implements Corpus: the degraded-mode histogram pass over a
-// snapshot of the entry slice.
-func (c *dbCorpus) ScanHist(sc *LookupScratch, qh []uint16) {
-	sc.snap = c.db.snapshot()
-	ScanEntryHists(sc, c.db.enc, c.db.n, qh, sc.snap)
 }
 
 // View implements Corpus by resolving the reference — an index — against
@@ -139,11 +120,4 @@ func (c *dbCorpus) View(sc *LookupScratch, ref uint64) EntryView {
 func (db *Database) LookupKZWith(sc *LookupScratch, z timeseries.Series, qw Word, k int, dst []Match) ([]Match, error) {
 	wordWin, seriesWin := db.params()
 	return CascadeLookupKZ(sc, &db.corpus, db.enc, db.n, wordWin, seriesWin, z, qw, k, dst)
-}
-
-// NearestHist runs only the histogram scan over the database — the
-// degraded-mode answer; see HistNearest for the contract (Dist is a lower bound, not an
-// exact distance).
-func (db *Database) NearestHist(sc *LookupScratch, qw Word) (Match, bool) {
-	return HistNearest(sc, &db.corpus, db.enc, qw)
 }

@@ -52,13 +52,12 @@ type Builder struct {
 type accum struct {
 	labels []string
 	words  []string
-	hists  [][]uint16
 	series []timeseries.Series
 }
 
 func (a *accum) count() int { return len(a.labels) }
-func (a *accum) entry(i int) (string, string, []uint16, []float64) {
-	return a.labels[i], a.words[i], a.hists[i], a.series[i]
+func (a *accum) entry(i int) (string, string, []float64) {
+	return a.labels[i], a.words[i], a.series[i]
 }
 func (a *accum) reset() { *a = accum{} }
 
@@ -108,7 +107,6 @@ func (b *Builder) Add(label string, w sax.Word, z timeseries.Series) error {
 	}
 	b.acc.labels = append(b.acc.labels, label)
 	b.acc.words = append(b.acc.words, w.Symbols)
-	b.acc.hists = append(b.acc.hists, sax.HistogramOf(w))
 	b.acc.series = append(b.acc.series, z)
 	if b.acc.count() >= b.opts.MaxSegmentEntries {
 		return b.flush()

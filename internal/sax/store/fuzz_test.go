@@ -29,15 +29,11 @@ func buildFuzzSegment(tb testing.TB) []byte {
 	for i := 0; i < 5; i++ {
 		z := randSmoothSeries(rng, fuzzParams.seriesLen).ZNormalize()
 		word := make([]byte, fuzzParams.wordLen)
-		hist := make([]uint16, fuzzParams.alphabet)
 		for j := range word {
-			s := byte('a' + (i+j)%fuzzParams.alphabet)
-			word[j] = s
-			hist[s-'a']++
+			word[j] = byte('a' + (i+j)%fuzzParams.alphabet)
 		}
 		acc.labels = append(acc.labels, fmt.Sprintf("l%d", i%2))
 		acc.words = append(acc.words, string(word))
-		acc.hists = append(acc.hists, hist)
 		acc.series = append(acc.series, z)
 	}
 	path := filepath.Join(tb.TempDir(), "seed.seg")
@@ -69,9 +65,6 @@ func decodeFuzzInput(data []byte) {
 	for i := 0; i < sg.count; i++ {
 		_ = sg.label(i)
 		_ = sg.word(i)
-		for _, h := range sg.histAt(i) {
-			sink += float64(h)
-		}
 		for _, v := range sg.seriesAt(i) {
 			sink += v
 		}

@@ -45,22 +45,6 @@ func (lv *lookupView) ScanSpectra(sc *sax.LookupScratch) {
 	sax.ScanEntrySpectra(sc, lv.tail)
 }
 
-// ScanHist implements sax.Corpus: the degraded-mode histogram pass over
-// every sealed segment's mapped prune index, then the tail.
-func (lv *lookupView) ScanHist(sc *sax.LookupScratch, qh []uint16) {
-	enc, n, al := lv.s.enc, lv.s.p.seriesLen, lv.s.p.alphabet
-	for si, sg := range lv.segs {
-		ref := uint64(si+1) << refSegShift
-		hist := sg.hist
-		base := sg.baseSeq
-		for i := 0; i < sg.count; i++ {
-			lb := enc.HistLowerBoundRaw(qh, hist[i*al:(i+1)*al], n)
-			sc.AppendCandidate(ref|uint64(i), base+uint64(i), lb)
-		}
-	}
-	sax.ScanEntryHists(sc, enc, n, qh, lv.tail)
-}
-
 // View implements sax.Corpus. Tail entries are heap values; sealed entries
 // are views into the mapping, valid until the store is closed.
 func (lv *lookupView) View(_ *sax.LookupScratch, ref uint64) sax.EntryView {
@@ -86,9 +70,8 @@ func (lv *lookupView) View(_ *sax.LookupScratch, ref uint64) sax.EntryView {
 // Returned matches' Word fields are zero-copy views into the store's mapped
 // memory: they stay valid until the store is closed.
 func (s *Store) LookupKZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.Word, k int, dst []sax.Match) ([]sax.Match, error) {
-	// The "store stall" site: a delay policy here models a slow disk/page
-	// fault under the full cascade; the degraded histogram path does not
-	// pass through it.
+	// The "store stall" site: a delay policy here models a slow disk or a
+	// page fault under the cascade.
 	if err := failpoint.Inject(failpoint.StoreLookup); err != nil {
 		return dst[:0], err
 	}
@@ -103,25 +86,6 @@ func (s *Store) LookupKZWith(sc *sax.LookupScratch, z timeseries.Series, qw sax.
 	lv.tail = nil
 	s.viewPool.Put(lv)
 	return dst, err
-}
-
-// NearestHist runs only the histogram scan over the store's mapped prune
-// index plus the in-memory tail — the degraded-mode answer; see
-// sax.HistNearest for the contract (Dist is a lower bound, not an exact
-// distance). It does not pass through the store/lookup failpoint: the
-// degraded path exists to keep answering while the full lookup path is
-// stalled.
-func (s *Store) NearestHist(sc *sax.LookupScratch, qw sax.Word) (sax.Match, bool) {
-	lv := s.viewPool.Get().(*lookupView)
-	lv.s = s
-	s.mu.RLock()
-	lv.segs = append(lv.segs[:0], s.segs...)
-	lv.tail = s.tail
-	s.mu.RUnlock()
-	m, ok := sax.HistNearest(sc, lv, s.enc, qw)
-	lv.tail = nil
-	s.viewPool.Put(lv)
-	return m, ok
 }
 
 // LookupZWith finds the single nearest entry under an acceptance threshold —

@@ -21,9 +21,9 @@ import (
 //
 //	offset 0    header (128 bytes, little-endian, CRC-protected)
 //	offLabelIdx count × u32          per-entry index into the label table
-//	offHist     count × alphabet × u16   symbol histograms — the degraded
-//	            mode's prune index, precomputed at build time so the
-//	            histogram lower bound runs straight over mapped memory
+//	offHist     count × alphabet × u16   symbol histograms of the words
+//	            (reserved: written and bounds-checked, read by nothing; a
+//	            format version bump can reuse the space)
 //	offWords    count × wordLen bytes    SAX words, fixed width
 //	offLabels   label table: u32 n, then n × (u32 len ‖ bytes), deduplicated
 //	(pad to 8)
@@ -81,7 +81,6 @@ type segment struct {
 	labels   []string  // decoded label table (heap strings)
 	labelIdx []uint32  // view: count entries
 	words    []byte    // view: count × wordLen
-	hist     []uint16  // view: count × alphabet
 	series   []float64 // view: count × seriesLen
 
 	// spec holds each entry's Spectrum, derived from the series block on
@@ -96,7 +95,7 @@ type segment struct {
 // compaction streams mapped entries straight into a new file.
 type segmentSource interface {
 	count() int
-	entry(i int) (label, word string, hist []uint16, series []float64)
+	entry(i int) (label, word string, series []float64)
 }
 
 // corrupt wraps a format violation in ErrCorruptSegment.
@@ -202,7 +201,6 @@ func decodeSegment(path string, m mapped, p segParams, size uint64) (*segment, e
 		bodyCRC: binary.LittleEndian.Uint32(h[hdrOffBodyCRC:]),
 	}
 	sg.labelIdx = u32View(m.data[offLabelIdx:offHist])
-	sg.hist = u16View(m.data[offHist:offWords])
 	sg.words = m.data[offWords:offLabels]
 	sg.series = f64View(m.data[offSeries:size])
 
@@ -270,13 +268,6 @@ func (sg *segment) word(i int) string {
 	return viewString(sg.words[i*wl : (i+1)*wl])
 }
 
-// histAt returns entry i's symbol histogram view (the degraded mode's prune
-// index).
-func (sg *segment) histAt(i int) []uint16 {
-	al := sg.p.alphabet
-	return sg.hist[i*al : (i+1)*al]
-}
-
 // seriesAt returns entry i's z-normalised series view.
 func (sg *segment) seriesAt(i int) timeseries.Series {
 	sl := sg.p.seriesLen
@@ -314,9 +305,9 @@ func (sg *segment) source() segmentSource { return segSource{sg} }
 type segSource struct{ sg *segment }
 
 func (s segSource) count() int { return s.sg.count }
-func (s segSource) entry(i int) (string, string, []uint16, []float64) {
+func (s segSource) entry(i int) (string, string, []float64) {
 	sg := s.sg
-	return sg.label(i), sg.word(i), sg.histAt(i), sg.seriesAt(i)
+	return sg.label(i), sg.word(i), sg.seriesAt(i)
 }
 
 // writeSegment writes a complete segment file at path (created/truncated)
@@ -335,13 +326,13 @@ func writeSegment(path string, p segParams, baseSeq uint64, src segmentSource) (
 	labelOf := make(map[string]uint32)
 	labelBytes := uint64(4)
 	for i := 0; i < n; i++ {
-		label, word, hist, series := src.entry(i)
+		label, word, series := src.entry(i)
 		if label == "" {
 			return 0, fmt.Errorf("store: entry %d has empty label", i)
 		}
-		if len(word) != p.wordLen || len(hist) != p.alphabet || len(series) != p.seriesLen {
-			return 0, fmt.Errorf("store: entry %d shape (%d,%d,%d) does not match store parameters (%d,%d,%d)",
-				i, len(word), len(hist), len(series), p.wordLen, p.alphabet, p.seriesLen)
+		if len(word) != p.wordLen || len(series) != p.seriesLen {
+			return 0, fmt.Errorf("store: entry %d shape (%d,%d) does not match store parameters (%d,%d)",
+				i, len(word), len(series), p.wordLen, p.seriesLen)
 		}
 		li, ok := labelOf[label]
 		if !ok {
@@ -385,15 +376,21 @@ func writeSegment(path string, p segParams, baseSeq uint64, src segmentSource) (
 	for _, li := range labelIdx {
 		putU32(li)
 	}
+	// The reserved histogram block: each word's symbol counts.
+	hist := make([]uint16, p.alphabet)
 	for i := 0; i < n; i++ {
-		_, _, hist, _ := src.entry(i)
+		_, word, _ := src.entry(i)
+		clear(hist)
+		for j := 0; j < len(word); j++ {
+			hist[word[j]-'a']++
+		}
 		for _, hv := range hist {
 			binary.LittleEndian.PutUint16(scratch[:2], hv)
 			bw.Write(scratch[:2])
 		}
 	}
 	for i := 0; i < n; i++ {
-		_, word, _, _ := src.entry(i)
+		_, word, _ := src.entry(i)
 		bw.WriteString(word)
 	}
 	putU32(uint32(len(labels)))
@@ -405,7 +402,7 @@ func writeSegment(path string, p segParams, baseSeq uint64, src segmentSource) (
 		bw.WriteByte(0)
 	}
 	for i := 0; i < n; i++ {
-		_, _, _, series := src.entry(i)
+		_, _, series := src.entry(i)
 		for _, v := range series {
 			binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v))
 			bw.Write(scratch[:8])

@@ -8,10 +8,9 @@
 // A store directory holds three kinds of file:
 //
 //   - sealed segments (seg-NNNNNN.seg): immutable, mmap-able columnar files
-//     carrying the label table, SAX words, z-normalised series and a
-//     precomputed per-entry symbol-histogram block, so the degraded mode's
-//     histogram lower bound runs directly over mapped memory with zero
-//     per-lookup allocation;
+//     carrying the label table, SAX words and z-normalised series (plus a
+//     reserved per-entry symbol-histogram block that nothing reads), served
+//     as views over mapped memory with zero per-lookup allocation;
 //   - a write-ahead log (wal.log): length-prefixed, checksummed Add records;
 //     recovery truncates a torn tail and replays the rest into the in-memory
 //     tail;
@@ -515,9 +514,9 @@ func (s *Store) CheckIntegrity() error {
 type tailSource []sax.Entry
 
 func (t tailSource) count() int { return len(t) }
-func (t tailSource) entry(i int) (string, string, []uint16, []float64) {
+func (t tailSource) entry(i int) (string, string, []float64) {
 	e := &t[i]
-	return e.Label, e.Word.Symbols, e.Hist(), e.Series
+	return e.Label, e.Word.Symbols, e.Series
 }
 
 // concatSources chains sources in order (compaction's merged view: sealed
@@ -536,7 +535,7 @@ type concatSource struct {
 }
 
 func (c *concatSource) count() int { return c.starts[len(c.starts)-1] }
-func (c *concatSource) entry(i int) (string, string, []uint16, []float64) {
+func (c *concatSource) entry(i int) (string, string, []float64) {
 	// Linear bucket walk: sources are few (segments + tail).
 	k := 0
 	for c.starts[k+1] <= i {

@@ -14,14 +14,6 @@ import (
 // a corrupt or truncated file yields ErrCorruptSegment, never a misaligned
 // load.
 
-// u16View reinterprets b (length a multiple of 2, 2-byte aligned) as []uint16.
-func u16View(b []byte) []uint16 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), len(b)/2)
-}
-
 // u32View reinterprets b (length a multiple of 4, 4-byte aligned) as []uint32.
 func u32View(b []byte) []uint32 {
 	if len(b) == 0 {

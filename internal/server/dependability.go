@@ -17,9 +17,9 @@ import (
 // dependability.go is the server's overload and fault story: per-request
 // deadlines (X-Deadline-Ms → context), admission control (a hard in-flight
 // frame cap answered with 429 + Retry-After), graceful degradation (under
-// queue pressure or a read-only store, single/batch recognition answers from
-// the cascade's stage-0 bound on the request goroutine, marked
-// degraded:true), the liveness/readiness split (/livez answers 200 while the
+// queue pressure, single/batch recognition runs the same recognizer on the
+// request goroutine instead of queuing on the pool, marked degraded:true),
+// the liveness/readiness split (/livez answers 200 while the
 // process serves at all — even draining — while /readyz reflects whether
 // THIS replica should receive new work), and the debug-only /failpointz
 // endpoint over internal/failpoint. See DESIGN.md §"The dependability
@@ -111,13 +111,13 @@ func writeOverloaded(w http.ResponseWriter) {
 }
 
 // degradeWatermark is the pool-queue occupancy fraction past which
-// /v1/recognize and /v1/batch answer from the cascade's cheap stage-0 path,
-// marked degraded:true, instead of joining the backlog.
+// /v1/recognize and /v1/batch answer on the request goroutine, marked
+// degraded:true, instead of joining the backlog.
 const degradeWatermark = 0.75
 
 // overloaded reports whether the pool queue has crossed degradeWatermark —
-// the signal that full-cascade answers are about to queue behind a backlog,
-// so cheap degraded answers serve the users better.
+// the signal that pool answers are about to queue behind a backlog, so
+// answering on the request goroutine serves the users better.
 func (s *Server) overloaded() bool {
 	queued, capacity, started := s.sys.PoolQueue()
 	if !started || capacity == 0 {
@@ -128,9 +128,8 @@ func (s *Server) overloaded() bool {
 
 // storeReadOnly reports whether the backing store has latched its sticky
 // write-failure state (store.Store.ReadOnly). A read-only store still serves
-// lookups, but it signals storage-layer distress; the serving layer degrades
-// to stage-0 answers and drops out of readiness so traffic shifts to healthy
-// replicas.
+// lookups, unchanged, but it signals storage-layer distress, so the replica
+// drops out of readiness and traffic shifts to healthy ones.
 func (s *Server) storeReadOnly() bool {
 	if s.opts.Store == nil {
 		return false
@@ -139,19 +138,15 @@ func (s *Server) storeReadOnly() bool {
 	return ro
 }
 
-// shouldDegrade decides whether single/batch recognition answers degraded.
-func (s *Server) shouldDegrade() bool {
-	return s.overloaded() || s.storeReadOnly()
-}
-
-// recognizeDegraded answers frames from the stage-0 path on the request
-// goroutine — no pool round trip — and recycles them. Results carry
-// Degraded: true.
+// recognizeDegraded answers frames on the request goroutine, with the
+// recognizer the pool workers run, so a stalled or backed-up pool adds no
+// wait, and recycles them. The verdicts are the pool's; results carry
+// Degraded: true, which means "answered outside the pool".
 func (s *Server) recognizeDegraded(frames []*raster.Gray) []FrameResult {
 	out := make([]FrameResult, len(frames))
 	sc := recognizer.NewScratch()
 	for i, f := range frames {
-		res, err := s.sys.Rec.RecognizeDegradedWith(sc, f)
+		res, err := s.sys.Rec.RecognizeWith(sc, f)
 		s.framePool.Put(f)
 		out[i] = resultToWire(res, err)
 		out[i].Degraded = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"hdc/internal/raster"
 	"hdc/internal/sax"
 	"hdc/internal/sax/store"
+	"hdc/internal/scene"
 	"hdc/internal/server"
 	"hdc/internal/server/client"
 	"hdc/internal/timeseries"
@@ -22,10 +24,10 @@ import (
 
 // dependability_test.go drives the server's fault story end to end:
 // deadline headers bounding requests, admission control shedding with 429,
-// degraded stage-0 answers under a read-only store, the liveness/readiness
-// split, and the debug /failpointz endpoint. Failpoints are process-global,
-// so this package must not run these tests in parallel; each test disarms
-// everything it armed.
+// answers outside the pool under overload, a read-only store that leaves
+// answers unchanged, the liveness/readiness split, and the debug
+// /failpointz endpoint. Failpoints are process-global, so this package must
+// not run these tests in parallel; each test disarms everything it armed.
 
 // getJSON fetches url and decodes the body into out, returning the status.
 func getJSON(t *testing.T, url string, out any) int {
@@ -101,11 +103,11 @@ func readOnlyStore(t *testing.T) *store.Store {
 	return st
 }
 
-// TestReadOnlyStoreDegrades pins the degradation path: with the backing
-// store latched read-only, /readyz reports store-read-only, /statsz carries
-// the latch, and recognition answers come from the stage-0 path marked
-// degraded:true — still under the right label at the reference view.
-func TestReadOnlyStoreDegrades(t *testing.T) {
+// TestReadOnlyStoreServesFromPool pins what the read-only latch changes and
+// what it does not: /readyz reports store-read-only and /statsz carries the
+// latch, but recognition still runs on the pool, answering the right sign
+// at the reference view with no frame marked degraded.
+func TestReadOnlyStoreServesFromPool(t *testing.T) {
 	defer failpoint.DisableAll()
 	st := readOnlyStore(t)
 	sys, _, hs := testService(t, server.Options{Store: st}, pipeline.Config{Workers: 2})
@@ -125,22 +127,117 @@ func TestReadOnlyStoreDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || !res.OK || res.Sign != "No" {
-		t.Fatalf("degraded verdict: %+v", res)
-	}
-	if res.Confidence != 0 || res.RunnerUp != "" {
-		t.Fatalf("degraded result carries full-path diagnostics: %+v", res)
+	if res.Degraded || !res.OK || res.Sign != "No" || res.RunnerUp == "" {
+		t.Fatalf("verdict with read-only store: %+v", res)
 	}
 
 	stats, err := c.Statsz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Admission.StoreReadOnly || stats.Admission.DegradedFrames == 0 {
+	if !stats.Admission.StoreReadOnly || stats.Admission.DegradedFrames != 0 {
 		t.Fatalf("admission snapshot: %+v", stats.Admission)
 	}
 	if stats.Store == nil || !stats.Store.ReadOnly {
 		t.Fatalf("store snapshot: %+v", stats.Store)
+	}
+}
+
+// TestDegradedMatchesPool pins the overload answer to the pool's: with the
+// one worker stalled and its one-slot queue full, /v1/batch answers a
+// seeded mix (three signs at 0, ±25, ±40, ±65 and ±90°, 3–5 m) on the
+// request goroutine, every slot degraded:true and otherwise equal, field
+// for field, to what the idle pool answers. The side-on ±90° frames answer
+// no_sign both ways.
+func TestDegradedMatchesPool(t *testing.T) {
+	defer failpoint.DisableAll()
+	sys, _, hs := testService(t, server.Options{}, pipeline.Config{Workers: 1, QueueDepth: 1})
+	rng := rand.New(rand.NewSource(3))
+	var frames []*raster.Gray
+	var dead []bool
+	for _, az := range []float64{0, 25, -25, 40, -40, 65, -65, 90, -90} {
+		for _, sign := range body.AllSigns() {
+			v := scene.View{AltitudeM: 3 + 2*rng.Float64(), DistanceM: 3, AzimuthDeg: az}
+			f, err := sys.Rend.Render(sign, v, body.Options{}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+			dead = append(dead, az == 90 || az == -90)
+		}
+	}
+	batch := func(frames []*raster.Gray) []server.FrameResult {
+		t.Helper()
+		req, err := framePost(context.Background(), hs.URL, "/v1/batch", frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Results []server.FrameResult `json:"results"`
+		}
+		if err := wireCall(req, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != len(frames) {
+			t.Fatalf("%d results for %d frames", len(out.Results), len(frames))
+		}
+		return out.Results
+	}
+	want := batch(frames)
+
+	// Stall the worker, then keep its queue full with a batch of its own:
+	// the next request finds the pool past degradeWatermark.
+	if err := failpoint.Enable(failpoint.PipelineWorker, "delay(100ms)"); err != nil {
+		t.Fatal(err)
+	}
+	wedgeReq, err := framePost(context.Background(), hs.URL, "/v1/batch", signFrames(t, sys, signPattern(0, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wedgeOut struct {
+		Results []server.FrameResult `json:"results"`
+	}
+	wedged := make(chan error, 1)
+	go func() { wedged <- wireCall(wedgeReq, &wedgeOut) }()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if queued, capacity, _ := sys.PoolQueue(); capacity > 0 && queued >= capacity {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pool queue never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := batch(frames)
+	failpoint.DisableAll()
+	if err := <-wedged; err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range wedgeOut.Results {
+		if r.Degraded {
+			t.Fatalf("wedging batch answered degraded: %+v", r)
+		}
+	}
+
+	for i := range got {
+		g, w := got[i], want[i]
+		if !g.Degraded || w.Degraded {
+			t.Fatalf("slot %d: degraded %v under overload, %v idle", i, g.Degraded, w.Degraded)
+		}
+		if dead[i] && (g.Err != server.ErrValueNoSign || g.OK) {
+			t.Fatalf("slot %d: dead-zone frame answered %+v", i, g)
+		}
+		g.Degraded, g.LatencyNS, w.LatencyNS = false, 0, 0
+		if g != w {
+			t.Fatalf("slot %d: overload answer %+v, pool answer %+v", i, g, w)
+		}
+	}
+	stats, err := client.New(hs.URL, nil).Statsz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Admission.DegradedFrames != uint64(len(frames)) {
+		t.Fatalf("degraded_frames %d, want %d", stats.Admission.DegradedFrames, len(frames))
 	}
 }
 

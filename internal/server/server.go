@@ -78,7 +78,7 @@ type Options struct {
 	// process that opened it closes it after shutdown — but /statsz reports
 	// its shape (segments, tail, WAL backlog, compaction health), and a
 	// store latched read-only (sticky write failure) drops the replica out
-	// of readiness and flips recognition to degraded stage-0 answers.
+	// of readiness. Recognition answers are unchanged by the latch.
 	Store *store.Store
 	// MaxInflightFrames is the admission-control cap: the total frames (or
 	// graph work items) allowed in recognize, batch, stream-frames, gesture
@@ -126,7 +126,7 @@ type Server struct {
 
 	inflight atomic.Int64  // admission-control frame budget currently out
 	rejected atomic.Uint64 // requests refused with 429
-	degraded atomic.Uint64 // frames answered from the stage-0 path
+	degraded atomic.Uint64 // frames answered outside the pool, under overload
 
 	statRecognize endpointStats
 	statBatch     endpointStats
@@ -244,8 +244,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int, bool)
 }
 
 // recognizeFrames is the shared body of /v1/recognize and /v1/batch: the
-// frame preamble, then either the full pool path or — under overload or a
-// read-only store — the degraded stage-0 path on the request goroutine.
+// frame preamble, then either the pool or — under overload — the same
+// recognizer on the request goroutine.
 func (s *Server) recognizeFrames(w http.ResponseWriter, r *http.Request, maxBatch int, single bool) (int, bool) {
 	if !s.acceptingWork() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
@@ -259,7 +259,7 @@ func (s *Server) recognizeFrames(w http.ResponseWriter, r *http.Request, maxBatc
 	n := len(frames)
 
 	var results []FrameResult
-	if s.shouldDegrade() {
+	if s.overloaded() {
 		results = s.recognizeDegraded(frames)
 	} else {
 		res, errs, err := s.sys.RecognizeBatchContext(ctx, frames, s.framePool.Put)

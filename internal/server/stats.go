@@ -132,11 +132,11 @@ type MemSnapshot struct {
 }
 
 // AdmissionSnapshot is the dependability layer's state on the wire:
-// admission-control occupancy, the shed/degrade counters, and the
-// overload/read-only signals that flip answers to the degraded path. A
+// admission-control occupancy, the shed/degrade counters, the overload
+// signal that moves answers off the pool and the store's read-only latch. A
 // growing Rejected under steady load means the in-flight cap is the
-// bottleneck; a nonzero Degraded means clients have been receiving stage-0
-// answers (marked degraded:true per result).
+// bottleneck; a nonzero Degraded means clients have been receiving answers
+// computed outside the pool (marked degraded:true per result).
 type AdmissionSnapshot struct {
 	InflightFrames    int64  `json:"inflight_frames"`
 	MaxInflightFrames int    `json:"max_inflight_frames"`

@@ -78,10 +78,10 @@ type FrameResult struct {
 	// request, "deadline" when the request's X-Deadline-Ms budget expired
 	// before this frame finished, or the error text otherwise.
 	Err string `json:"error,omitempty"`
-	// Degraded marks a verdict served from the cascade's stage-0 path
-	// (overload or read-only store): Dist is a lower bound, not an exact
-	// distance, and the rival diagnostics are absent. See DESIGN.md §"The
-	// dependability layer".
+	// Degraded marks a verdict answered outside the worker pool, on the
+	// request goroutine, because the pool was overloaded. The verdict and
+	// every distance are the pool's. See DESIGN.md §"The dependability
+	// layer".
 	Degraded bool `json:"degraded,omitempty"`
 	// LatencyNS is the recogniser's end-to-end stage time for this frame.
 	LatencyNS int64 `json:"latency_ns,omitempty"`
