@@ -146,10 +146,13 @@ func E12Legibility() (string, error) {
 		sb.WriteString("### " + name + "\n\n")
 		patterns := flight.Patterns()
 		counts := make(map[flight.Pattern]map[string]int)
-		rng := rand.New(rand.NewSource(2024))
-		for _, p := range patterns {
+		for pi, p := range patterns {
 			counts[p] = map[string]int{}
 			for trial := 0; trial < 10; trial++ {
+				// Each (pattern, trial) draws its gusts from its own seed,
+				// derived from 2024, so a change to one pattern's flight
+				// leaves every other row's gusts as they were.
+				rng := rand.New(rand.NewSource(2024 + int64(trial*len(patterns)+pi)))
 				d, err := flight.New(flight.DefaultParams(), geom.V3(0, 0, 0))
 				if err != nil {
 					return "", err

@@ -111,12 +111,14 @@ func E18Database() (string, error) {
 	sb.WriteString("Entries sit in one append-only slice in insertion order (a lookup\n")
 	sb.WriteString("copies the slice header under a read lock and scans lock-free, so\n")
 	sb.WriteString("pool workers never serialise) and lookup runs a best-first\n")
-	sb.WriteString("two-stage cascade: a spectral bound (four |DFT| magnitudes per\n")
+	sb.WriteString("two-stage cascade: a spectral bound (sixteen |DFT| magnitudes per\n")
 	sb.WriteString("entry, computed at insert; rotation/mirror invariant, so below every\n")
 	sb.WriteString("alignment at every shift by Parseval) orders and prunes the\n")
 	sb.WriteString("candidates, then exact alignment (an FFT cross-correlation picks\n")
 	sb.WriteString("the shifts, the direct sum confirms them) runs on the survivors,\n")
-	sb.WriteString("both cut off against the best distance so far. Identical Match\n")
+	sb.WriteString("both cut off against the best distance so far. Each survivor's\n")
+	sb.WriteString("forward transform is cached on its first exact alignment, so later\n")
+	sb.WriteString("lookups pay one product and one inverse FFT for it. Identical Match\n")
 	sb.WriteString("results to the linear scan are enforced by differential tests and\n")
 	sb.WriteString("a fuzz target over rotated, reflected and perturbed copies.\n\n")
 	sb.WriteString(tab.Markdown())

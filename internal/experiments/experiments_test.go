@@ -96,3 +96,30 @@ func TestYesHelper(t *testing.T) {
 		t.Fatal("yes() helper wrong")
 	}
 }
+
+// TestE24VerdictFollowsRatios holds E24's closing prose to its table: the
+// sentence about each row follows from the measured throughput ratio, not
+// from a fixed claim.
+func TestE24VerdictFollowsRatios(t *testing.T) {
+	for _, tc := range []struct {
+		armed, scraped float64
+		want, not      []string
+	}{
+		{1.02, 0.98, []string{"×1.02", "×0.98", "Arming the tracer is within noise", "within noise too", "leaving tracing armed"}, []string{"scrape loop costs", "beyond noise"}},
+		{0.99, 0.70, []string{"The scrape loop costs 30% of armed throughput", "2-CPU host"}, []string{"within noise too"}},
+		{0.80, 1.00, []string{"Arming the tracer moved throughput beyond noise"}, []string{"leaving tracing armed"}},
+		{1.00, 1.30, []string{"ran faster than the armed one"}, []string{"scrape loop costs"}},
+	} {
+		got := e24Verdict(tc.armed, tc.scraped, 2)
+		for _, w := range tc.want {
+			if !strings.Contains(got, w) {
+				t.Errorf("armed ×%.2f scraped ×%.2f: verdict lacks %q:\n%s", tc.armed, tc.scraped, w, got)
+			}
+		}
+		for _, w := range tc.not {
+			if strings.Contains(got, w) {
+				t.Errorf("armed ×%.2f scraped ×%.2f: verdict says %q:\n%s", tc.armed, tc.scraped, w, got)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sax
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 
 	"hdc/internal/timeseries"
 )
@@ -36,13 +37,50 @@ type Corpus interface {
 }
 
 // EntryView is the cascade's read model of one stored entry: the label, the
-// SAX word and the z-normalised series. The mirror candidate is not stored:
-// the aligner derives it from Series for the few entries that reach exact
-// alignment.
+// SAX word, the z-normalised series and the slot that caches the series'
+// forward transform. The mirror candidate is not stored: the aligner
+// derives it from Series for the few entries that reach exact alignment.
 type EntryView struct {
 	Label  string
 	Word   Word
 	Series timeseries.Series
+	Slot   *TransformSlot // never nil; owned by the corpus, one per entry
+}
+
+// TransformSlot caches one entry's forward transform for the exact stage
+// (timeseries.Aligner.Transform). It stays empty until the entry first
+// reaches that stage; the lookup that gets there first publishes the
+// transform and every later lookup reads it. A dictionary therefore pays
+// the transform's memory only for entries that survive the spectral bound.
+// The zero value is empty; a slot must not be copied.
+type TransformSlot struct {
+	p atomic.Pointer[timeseries.Transform]
+}
+
+// Bytes returns the memory the slot's transform holds: 0 while empty.
+func (s *TransformSlot) Bytes() int64 {
+	if t := s.p.Load(); t != nil {
+		return t.Bytes()
+	}
+	return 0
+}
+
+// alignExact aligns the prepared query with entry e exactly, through e's
+// cached transform, which it forms and publishes on the entry's first
+// exact evaluation. Concurrent first evaluations form bit-identical
+// transforms (the same arithmetic on the same series); the first to
+// publish wins and the others adopt it.
+func (sc *LookupScratch) alignExact(e EntryView, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	t := e.Slot.p.Load()
+	if t == nil {
+		if t, err = sc.align.Transform(e.Series); err != nil {
+			return 0, 0, false, err
+		}
+		if !e.Slot.p.CompareAndSwap(nil, t) {
+			t = e.Slot.p.Load()
+		}
+	}
+	return sc.align.AlignTransform(e.Series, t, maxShift, cutoff)
 }
 
 // cand is one candidate-heap element: an opaque corpus reference, the
@@ -59,7 +97,7 @@ type cand struct {
 // the entry's insertion sequence number and its Spectrum, which must come
 // from a timeseries.SpecTable of the corpus's series length. Corpus
 // implementations call it from ScanSpectra.
-func (sc *LookupScratch) AppendSpectral(ref, seq uint64, es timeseries.Spectrum) {
+func (sc *LookupScratch) AppendSpectral(ref, seq uint64, es *timeseries.Spectrum) {
 	sc.cands = append(sc.cands, cand{ref: ref, seq: seq, lb: sc.align.LowerBound(es), ee: es.SS})
 	// max keeps a NaN norm, which disables the wholesale break: a NaN
 	// bound has no place in the heap order the break relies on.
@@ -217,11 +255,12 @@ func CascadeLookupKZ(sc *LookupScratch, cp Corpus, enc *Encoder, n, wordWin, ser
 			continue
 		}
 
-		// Stage 2: exact rotation/mirror alignment, bit-identical to the
-		// direct scan pair (forward, then the mirror under min(cutoff, d)).
+		// Stage 2: exact rotation/mirror alignment against the entry's
+		// cached transform, bit-identical to the direct scan pair
+		// (forward, then the mirror under min(cutoff, d)).
 		sc.stats.ExactEvals++
 		e := cp.View(sc, c.ref)
-		d, shift, mirrored, err := sc.align.AlignMirror(e.Series, seriesWin, cutoff)
+		d, shift, mirrored, err := sc.alignExact(e, seriesWin, cutoff)
 		if err != nil {
 			sc.cands = sc.cands[:0]
 			return dst, err

@@ -414,7 +414,8 @@ func TestLookupStatsAccountForEveryEntry(t *testing.T) {
 // copies at fuzzer-chosen shifts, plus unrelated shapes. seed draws the
 // shapes; shift and mirror place the query; noise sets the copies'
 // perturbation scale, from exact copies to 0.1; frac picks the rotation
-// window.
+// window. Each query runs with the entries' transform caches cold, then
+// warm, then warm under a second scratch.
 func FuzzCascadeMatchesLinear(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shift uint16, mirror bool, noise uint8, frac uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -441,12 +442,20 @@ func FuzzCascadeMatchesLinear(f *testing.F) {
 		}
 		q = perturb(rng, q, scale)
 		b := newBackends(t, dict, signLabel, []float64{0, 0.15, 0.5}[int(frac)%3])
-		msg, err := b.differ(sax.NewLookupScratch(), q, 1, 2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg != "" {
-			t.Fatal(msg)
+		// Cold transform caches, then warm ones, then warm caches under a
+		// second scratch: every run must give the linear scan's answer.
+		sc := sax.NewLookupScratch()
+		for _, run := range []struct {
+			name string
+			sc   *sax.LookupScratch
+		}{{"cold", sc}, {"warm", sc}, {"second scratch", sax.NewLookupScratch()}} {
+			msg, err := b.differ(run.sc, q, 1, 2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg != "" {
+				t.Fatalf("%s: %s", run.name, msg)
+			}
 		}
 	})
 }

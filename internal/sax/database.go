@@ -23,6 +23,10 @@ type Entry struct {
 	// cascade's spectral stage.
 	spec timeseries.Spectrum
 
+	// slot caches Series' forward transform from the entry's first exact
+	// evaluation on; copies of the entry share it.
+	slot *TransformSlot
+
 	// seq is the global insertion sequence number: a stable identity used to
 	// break exact distance ties deterministically, so the indexed cascade and
 	// the linear reference scan elect the same winner regardless of visit
@@ -54,7 +58,8 @@ var ErrNoMatch = errors.New("sax: no match within threshold")
 // lock-free: Add never rewrites an existing element (append either extends
 // in place or copies to a fresh array), so concurrent lookups never
 // serialise against each other and an Add only briefly blocks them. Lookup
-// runs a two-stage cascade (spectral |DFT| bound → exact alignment, both cut
+// runs a two-stage cascade (a spectral bound on sixteen |DFT| magnitudes →
+// exact alignment against each survivor's cached forward transform, both cut
 // off against the best distance so far); LookupZLinear retains the unpruned
 // linear scan as the reference implementation and benchmark baseline.
 type Database struct {
@@ -159,7 +164,8 @@ func (db *Database) insert(label string, w Word, z timeseries.Series) {
 
 // NewEntry builds the in-memory form of one prepared entry (z canonical-
 // length and z-normalised, w its encoding) with global insertion sequence
-// number seq, precomputing its Spectrum with tab (a table of z's length).
+// number seq, precomputing its Spectrum with tab (a table of z's length);
+// its forward transform is cached on its first exact evaluation.
 // It is the one constructor for in-memory entries: the Database and the
 // on-disk store's unsealed tail both hold its values.
 func NewEntry(tab *timeseries.SpecTable, seq uint64, label string, w Word, z timeseries.Series) Entry {
@@ -168,6 +174,7 @@ func NewEntry(tab *timeseries.SpecTable, seq uint64, label string, w Word, z tim
 		Word:   w,
 		Series: z,
 		spec:   tab.Of(z),
+		slot:   new(TransformSlot),
 		seq:    seq,
 	}
 }

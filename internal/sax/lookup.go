@@ -9,17 +9,20 @@ import (
 // lookup.go binds in-memory entry slices — the Database's, and the on-disk
 // store's unsealed tail — to the two-stage cascade of cascade.go:
 //
-//	stage 1 — spectral lower bound: four low-frequency |DFT| magnitudes,
-//	          rotation and mirror invariant, so by Parseval below every
-//	          alignment of both orientations at every shift
+//	stage 1 — spectral lower bound: sixteen low-frequency |DFT|
+//	          magnitudes, rotation and mirror invariant, so by Parseval
+//	          below every alignment of both orientations at every shift
 //	          (timeseries.Aligner.LowerBound). Each entry's magnitudes and
 //	          squared norm are computed once, when it is stored, so the
 //	          per-lookup cost is O(1) per entry;
 //	stage 2 — exact rotation/mirror alignment at series level,
 //	          cutoff-threaded: an FFT cross-correlation of both orientations
 //	          picks the candidate shifts and the direct sum confirms them
-//	          (timeseries.Aligner.AlignMirror, bit-identical to the direct
-//	          scan).
+//	          (timeseries.Aligner.AlignTransform, bit-identical to the
+//	          direct scan). The entry's forward transform (1 KB at n = 128)
+//	          is formed on its first exact evaluation and cached in its
+//	          TransformSlot, so each later one costs a pointwise product
+//	          and one inverse FFT.
 //
 // Candidates flow through one best-first queue: a binary min-heap ordered
 // by (squared spectral bound, insertion seq). Each popped candidate is
@@ -44,7 +47,8 @@ type LookupStats struct {
 // the candidate heap, the top-k working set and the prepared aligner. Hold
 // one per worker goroutine (it must not be shared between concurrent
 // lookups) and pass it to LookupZWith/LookupKZWith; after the first few
-// calls the cascade reaches a zero-allocation steady state.
+// calls the cascade reaches a zero-allocation steady state. (An entry's
+// first exact evaluation allocates its cached transform, once per entry.)
 type LookupScratch struct {
 	cands    []cand
 	maxEE    float64 // largest squared entry norm among cands
@@ -84,13 +88,13 @@ var lookupScratchPool = sync.Pool{
 func ScanEntrySpectra(sc *LookupScratch, entries []Entry) {
 	for i := range entries {
 		e := &entries[i]
-		sc.AppendSpectral(uint64(i), e.seq, e.spec)
+		sc.AppendSpectral(uint64(i), e.seq, &e.spec)
 	}
 }
 
 // View returns the cascade's read model of the entry.
 func (e *Entry) View() EntryView {
-	return EntryView{Label: e.Label, Word: e.Word, Series: e.Series}
+	return EntryView{Label: e.Label, Word: e.Word, Series: e.Series, Slot: e.slot}
 }
 
 // dbCorpus adapts the Database to the cascade's Corpus interface. The value

@@ -13,12 +13,14 @@ import (
 //
 // The spectral stage reads each sealed segment's per-entry spectra, derived
 // from the mapped series block on the segment's first lookup and then kept
-// for its lifetime (segment.spectra); the segment file format does not
-// carry them, so opening stays O(validation). Entry views are zero-copy:
-// the label, word and series all point into the mapping. Entry references
-// pack (segment, index) into the kernel's opaque 64-bit ref; the segment
-// set and tail are snapshotted per lookup, so a concurrent compaction can
-// retire segments without ever invalidating a lookup in flight.
+// for its lifetime (segment.spectra), and the exact stage caches each
+// surviving entry's forward transform in a slot made beside them; the
+// segment file format carries neither, so opening stays O(validation).
+// Entry views are zero-copy: the label, word and series all point into the
+// mapping. Entry references pack (segment, index) into the kernel's opaque
+// 64-bit ref; the segment set and tail are snapshotted per lookup, so a
+// concurrent compaction can retire segments without ever invalidating a
+// lookup in flight.
 
 // refSegShift packs the segment ordinal into the high bits of a candidate
 // reference. Ordinal 0 is the in-memory tail; sealed segment i is i+1.
@@ -38,8 +40,9 @@ type lookupView struct {
 func (lv *lookupView) ScanSpectra(sc *sax.LookupScratch) {
 	for si, sg := range lv.segs {
 		ref := uint64(si+1) << refSegShift
-		for i, es := range sg.spectra(&lv.s.spec) {
-			sc.AppendSpectral(ref|uint64(i), sg.baseSeq+uint64(i), es)
+		spec := sg.spectra(&lv.s.spec)
+		for i := range spec {
+			sc.AppendSpectral(ref|uint64(i), sg.baseSeq+uint64(i), &spec[i])
 		}
 	}
 	sax.ScanEntrySpectra(sc, lv.tail)
@@ -58,6 +61,7 @@ func (lv *lookupView) View(_ *sax.LookupScratch, ref uint64) sax.EntryView {
 		Label:  sg.label(idx),
 		Word:   sax.Word{Symbols: sg.word(idx), Alphabet: lv.s.p.alphabet},
 		Series: sg.seriesAt(idx),
+		Slot:   &sg.slots[idx], // made by the scan's spectra call
 	}
 }
 

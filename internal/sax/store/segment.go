@@ -9,8 +9,10 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"hdc/internal/failpoint"
+	"hdc/internal/sax"
 	"hdc/internal/timeseries"
 )
 
@@ -84,9 +86,13 @@ type segment struct {
 	series   []float64 // view: count × seriesLen
 
 	// spec holds each entry's Spectrum, derived from the series block on
-	// the first lookup (specOnce), not stored in the file.
+	// the first lookup (specOnce), not stored in the file. slots, made
+	// beside it, cache each entry's forward transform from the entry's
+	// first exact evaluation on.
 	specOnce sync.Once
 	spec     []timeseries.Spectrum
+	slots    []sax.TransformSlot
+	derived  atomic.Bool // set once spec and slots are made
 }
 
 // segmentSource yields entries for segment building: a count and per-entry
@@ -276,14 +282,30 @@ func (sg *segment) seriesAt(i int) timeseries.Series {
 
 // spectra returns every entry's Spectrum, computed with tab (a table of the
 // segment's series length) on the first call and shared by every later one.
+// The first call also makes the entries' (empty) transform slots.
 func (sg *segment) spectra(tab *timeseries.SpecTable) []timeseries.Spectrum {
 	sg.specOnce.Do(func() {
 		sg.spec = make([]timeseries.Spectrum, sg.count)
 		for i := range sg.spec {
 			sg.spec[i] = tab.Of(sg.seriesAt(i))
 		}
+		sg.slots = make([]sax.TransformSlot, sg.count)
+		sg.derived.Store(true)
 	})
 	return sg.spec
+}
+
+// transformBytes returns the memory of the segment's cached transforms,
+// without deriving its spectra when no lookup has.
+func (sg *segment) transformBytes() int64 {
+	if !sg.derived.Load() {
+		return 0
+	}
+	var b int64
+	for i := range sg.slots {
+		b += sg.slots[i].Bytes()
+	}
+	return b
 }
 
 // close unmaps the segment.

@@ -569,6 +569,10 @@ func (s *Store) Stats() Stats {
 			Bytes:   bytes,
 		})
 		st.DiskBytes += bytes
+		st.TransformBytes += sg.transformBytes()
+	}
+	for i := range s.tail {
+		st.TransformBytes += s.tail[i].View().Slot.Bytes()
 	}
 	if fi, err := os.Stat(filepath.Join(s.dir, walName)); err == nil {
 		st.WALBytes = fi.Size()
@@ -609,4 +613,7 @@ type Stats struct {
 	// Store.ReadOnly) to /statsz and operators.
 	ReadOnly  bool   `json:"read_only,omitempty"`
 	FailedErr string `json:"failed_err,omitempty"`
+	// TransformBytes is the memory of the cached forward transforms, one
+	// per entry that has reached the cascade's exact stage.
+	TransformBytes int64 `json:"transform_bytes"`
 }

@@ -3,12 +3,16 @@ package timeseries
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // align.go is the prepared-query rotation aligner: the exact
 // rotation/mirror distance of MinRotationDistWindowCutoff, computed in
 // O(M log M) per candidate instead of O(n²), plus a rotation-invariant
 // spectral lower bound that rejects most candidates before any alignment.
+// The candidate's half of the transform work is done once per candidate
+// (Transform) and kept by the caller, so each alignment against a new query
+// costs one pointwise product and one inverse FFT (AlignTransform).
 //
 // Both rest on one bound. For every shift k the aligner's estimate
 // est_k = ‖q‖² + ‖e‖² − 2ĉ_k (ĉ_k the FFT cross-correlation) and the direct
@@ -27,10 +31,12 @@ import (
 //     direct loop would return +Inf and the candidate can be skipped.
 
 // specTerms is the number of DFT magnitudes (frequencies 1..specTerms) the
-// spectral lower bound compares. Four was the fastest of 2, 4, 8 and 16 in
-// a prototype sweep on the sign_store dictionary: more terms prune a little
-// more but cost more per candidate than they save.
-const specTerms = 4
+// spectral lower bound compares, a multiple of four (SpecTable.Of's block).
+// Entry magnitudes are precomputed, so a term costs one subtraction per
+// candidate; a sweep on the sign_store dictionary measured exact-stage
+// ratios of 0.270, 0.210 and 0.206 for 4, 16 and 32 terms, so 16 is the
+// knee.
+const specTerms = 16
 
 // rootErr bounds the absolute error of each component of unitRoot's
 // computed cos and sin (checked against a 200-bit evaluation by
@@ -38,10 +44,11 @@ const specTerms = 4
 const rootErr = 32 * 0x1p-53
 
 // Aligner is a prepared-query rotation aligner. Prepare it once per query,
-// then Align each candidate: the query's spectrum, norms and DFT tables are
-// computed once and every per-candidate buffer is reused, so the steady
-// state allocates nothing. An Aligner must not be shared between goroutines.
-// The zero value is ready for Prepare.
+// then AlignTransform each candidate: the query's spectrum, norms and DFT
+// tables are computed once and every per-candidate buffer is reused, so
+// with its candidates' Transforms at hand the steady state allocates
+// nothing. An Aligner must not be shared between goroutines. The zero value
+// is ready for Prepare.
 type Aligner struct {
 	n, m  int     // series length and FFT length
 	kappa float64 // relative error factor of τ (see tolerance)
@@ -49,19 +56,20 @@ type Aligner struct {
 	q  Series       // the prepared query (borrowed)
 	qq float64      // ‖q‖², summed in index order
 	qs []complex128 // M-point FFT of q, zero-padded when M > n
+	qh []complex128 // Q·(1−i), the factor an h-form Transform multiplies; M = n only
 
 	plan fftPlan
-	buf  []complex128 // per-candidate transform
-	est  []float64    // per-shift distance estimates, one orientation
-	mir  Series       // AlignMirror's mirror candidate
+	buf  []complex128 // per-candidate transform and correlation
+	est  []float64    // per-shift distance estimates: forward in est[:n], mirror in est[n:]
+	mir  Series       // the candidate's mirror
 
 	spec SpecTable
 	qmag [specTerms]float64
 }
 
 // Spectrum is what the spectral bound knows of a series: the magnitudes
-// |S_f| of its DFT at f = 1..4 and its squared norm ‖s‖². Rotation and
-// mirroring leave both unchanged, so a dictionary computes each entry's
+// |S_f| of its DFT at f = 1..specTerms and its squared norm ‖s‖². Rotation
+// and mirroring leave both unchanged, so a dictionary computes each entry's
 // Spectrum once and bounds every alignment of it against any query.
 type Spectrum struct {
 	Mag [specTerms]float64
@@ -75,9 +83,11 @@ type Spectrum struct {
 // shared between goroutines.
 type SpecTable struct {
 	n int
-	// dft[i·2K+2f], dft[i·2K+2f+1] = cos, sin of 2π(f+1)i/n, f < K =
-	// specTerms, interleaved per sample; nil when n ≤ 2·specTerms, where
-	// frequencies f and n−f coincide and the bound does not apply.
+	// cos, sin of 2π(f+1)i/n for f < K = specTerms and rows i = 0…n/2, in
+	// blocks of four frequencies: block b = f/4 holds them at
+	// dft[8rb + 8i + 2(f%4)] and the next index, r = n/2+1 rows,
+	// interleaved per row. nil when n ≤ 2K, where frequencies f and n−f
+	// can coincide and the bound does not apply.
 	dft []float64
 }
 
@@ -85,10 +95,12 @@ type SpecTable struct {
 func NewSpecTable(n int) SpecTable {
 	t := SpecTable{n: n}
 	if n > 2*specTerms {
-		t.dft = make([]float64, 2*specTerms*n)
-		for i := 0; i < n; i++ {
-			for f := 0; f < specTerms; f++ {
-				t.dft[2*(i*specTerms+f)], t.dft[2*(i*specTerms+f)+1] = unitRoot((f+1)*i%n, n)
+		rows := n/2 + 1
+		t.dft = make([]float64, 2*specTerms*rows)
+		for f := 0; f < specTerms; f++ {
+			for i := 0; i < rows; i++ {
+				at := 8*rows*(f/4) + 8*i + 2*(f%4)
+				t.dft[at], t.dft[at+1] = unitRoot((f+1)*i%n, n)
 			}
 		}
 	}
@@ -97,7 +109,8 @@ func NewSpecTable(n int) SpecTable {
 
 // Prepare binds the aligner to query q (borrowed until the next Prepare):
 // its M-point spectrum, squared norm and low-frequency DFT magnitudes. The
-// tables are rebuilt only when the series length changes.
+// tables are rebuilt only when the series length changes; Transforms formed
+// before a length change do not fit the new length.
 func (al *Aligner) Prepare(q Series) {
 	n := len(q)
 	if n != al.n || al.m == 0 {
@@ -119,6 +132,10 @@ func (al *Aligner) Prepare(q Series) {
 		}
 	}
 	al.plan.fft(al.qs)
+	for j := range al.qh {
+		z := al.qs[j]
+		al.qh[j] = complex(real(z)+imag(z), imag(z)-real(z))
+	}
 	al.qmag = al.spec.Of(q).Mag
 }
 
@@ -137,8 +154,12 @@ func (al *Aligner) resize(n int) {
 	al.n, al.m = n, m
 	al.kappa = tolerance(n, m)
 	al.qs = make([]complex128, m)
+	al.qh = nil
+	if m == n {
+		al.qh = make([]complex128, m)
+	}
 	al.buf = make([]complex128, m)
-	al.est = make([]float64, n)
+	al.est = make([]float64, 2*n)
 	al.mir = make(Series, n)
 	al.plan = newFFTPlan(m)
 	al.spec = NewSpecTable(n)
@@ -214,40 +235,48 @@ func (p *fftPlan) fft(x []complex128) {
 }
 
 // Of returns the Spectrum of s, which must have the table's length: each
-// |S_f| a table-driven n-term DFT sum and ‖s‖², all accumulated in index
+// |S_f| from table-driven DFT sums and ‖s‖², each accumulated in index
 // order. Below the bound's minimum length only SS is filled in.
 func (t *SpecTable) Of(s Series) Spectrum {
+	var sp Spectrum
+	for _, x := range s {
+		sp.SS += x * x
+	}
 	if t.dft == nil {
-		var ss float64
-		for _, x := range s {
-			ss += x * x
+		return sp
+	}
+	// Sample i pairs with n−i, whose cosines are equal and whose sines are
+	// opposite: the cosine sums take s[i]+s[n−i] and the sine sums
+	// s[i]−s[n−i] over rows 0…n/2, half the products of n-term sums.
+	// Samples 0 and n/2 (n even) have no partner. One pass over the rows
+	// per block of four frequencies keeps its eight sums in registers.
+	n := len(s)
+	rows := n/2 + 1
+	for b := 0; b < specTerms; b += 4 {
+		tab := t.dft[2*rows*b : 2*rows*(b+4)]
+		var c1, s1, c2, s2, c3, s3, c4, s4 float64
+		for i := 0; i < rows; i++ {
+			sum, diff := s[i], s[i]
+			if j := n - i; i > 0 && j > i {
+				sum, diff = s[i]+s[j], s[i]-s[j]
+			}
+			w := tab[8*i : 8*i+8 : 8*i+8]
+			c1 += sum * w[0]
+			s1 += diff * w[1]
+			c2 += sum * w[2]
+			s2 += diff * w[3]
+			c3 += sum * w[4]
+			s3 += diff * w[5]
+			c4 += sum * w[6]
+			s4 += diff * w[7]
 		}
-		return Spectrum{SS: ss}
+		mag := sp.Mag[b : b+4 : b+4]
+		mag[0] = math.Sqrt(c1*c1 + s1*s1)
+		mag[1] = math.Sqrt(c2*c2 + s2*s2)
+		mag[2] = math.Sqrt(c3*c3 + s3*s3)
+		mag[3] = math.Sqrt(c4*c4 + s4*s4)
 	}
-	// Unrolled for specTerms = 4: eight named accumulators stay in registers.
-	var c1, s1, c2, s2, c3, s3, c4, s4, ss float64
-	tab := t.dft[:2*specTerms*len(s)]
-	for i, x := range s {
-		w := tab[8*i : 8*i+8 : 8*i+8]
-		c1 += x * w[0]
-		s1 += x * w[1]
-		c2 += x * w[2]
-		s2 += x * w[3]
-		c3 += x * w[4]
-		s3 += x * w[5]
-		c4 += x * w[6]
-		s4 += x * w[7]
-		ss += x * x
-	}
-	return Spectrum{
-		Mag: [specTerms]float64{
-			math.Sqrt(c1*c1 + s1*s1),
-			math.Sqrt(c2*c2 + s2*s2),
-			math.Sqrt(c3*c3 + s3*s3),
-			math.Sqrt(c4*c4 + s4*s4),
-		},
-		SS: ss,
-	}
+	return sp
 }
 
 // tau returns the absolute tolerance τ for candidates whose squared norms,
@@ -263,13 +292,13 @@ func (al *Aligner) tau(p float64) float64 {
 }
 
 // LowerBound returns the spectral lower bound lb² =
-// (2/n)·Σ_{f=1..4}(|Q_f|−|E_f|)² of the prepared query against a series
-// with Spectrum es, taken from a table of the query's length: |DFT| does not
-// change under rotation or mirroring, so by Parseval lb² undercuts the
-// squared distance at every shift of both orientations, up to the rounding
-// BoundSlack allows for. It is 0 for series of 8 or fewer samples (where
-// frequency f and n−f coincide).
-func (al *Aligner) LowerBound(es Spectrum) float64 {
+// (2/n)·Σ_{f=1..K}(|Q_f|−|E_f|)², K = specTerms, of the prepared query
+// against a series with Spectrum es, taken from a table of the query's
+// length: |DFT| does not change under rotation or mirroring, so by Parseval
+// lb² undercuts the squared distance at every shift of both orientations,
+// up to the rounding BoundSlack allows for. It is 0 for series of 2K or
+// fewer samples (where frequency f and n−f can coincide).
+func (al *Aligner) LowerBound(es *Spectrum) float64 {
 	if al.spec.dft == nil {
 		return 0
 	}
@@ -289,95 +318,181 @@ func (al *Aligner) BoundSlack(ee float64) float64 {
 	return al.tau(al.qq + 2*ee)
 }
 
-// Align returns exactly what the direct pair of scans returns: d, s from
-// MinRotationDistWindowCutoff(q, e, maxShift, cutoff), then the mirror r
-// with cutoff min(cutoff, d), the mirror winning only if strictly closer —
-// the same distance bits, shift and mirror flag. r is any series of e's
-// length; AlignMirror passes e's mirror.
+// Transform is a candidate's half of the alignment work: its forward
+// transform and squared norm, formed once by Aligner.Transform and read by
+// AlignTransform against every later query of the candidate's length. It
+// is immutable, so one Transform may be shared between goroutines and
+// aligners.
 //
-// One forward FFT of e + i·r and one inverse against the query's spectrum
-// give the circular cross-correlation of both orientations at every shift;
-// the direct sum then runs only where the estimate is within 2τ of the
-// smallest (see the file comment), so a typical call sums one or two shifts
-// per orientation.
-func (al *Aligner) Align(e, r Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+// At M = n it is h_f = Re E_f + Im E_f, E the DFT of e: the mirror
+// m[i] = e[−i mod n] has the DFT conj(E), so the transform of e + i·m that
+// the correlation needs is Z_f = E_f + i·conj(E_f) = (1+i)·h_f, and h — M
+// reals — carries all of it. At M ≠ n the tiled mirror is not the DFT
+// mirror of the tiled e, so the M-point transform Z of the tiled e + i·m is
+// kept whole.
+type Transform struct {
+	ee, rr float64      // ‖e‖² and ‖m‖², each summed in its own index order
+	h      []float64    // M = n
+	z      []complex128 // M ≠ n
+}
+
+// Bytes returns the memory t holds.
+func (t *Transform) Bytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + 8*int64(len(t.h)) + 16*int64(len(t.z))
+}
+
+// Transform forms e's Transform for queries of the prepared length: one
+// forward FFT. The result is allocated for the caller to keep.
+func (al *Aligner) Transform(e Series) (*Transform, error) {
 	n, m := al.n, al.m
-	if len(e) != n || len(r) != n {
-		return 0, 0, false, ErrLengthMismatch
+	if len(e) != n {
+		return nil, ErrLengthMismatch
 	}
 	if n == 0 {
-		return 0, 0, false, ErrEmpty
+		return nil, ErrEmpty
 	}
-	var ee, rr float64
+	t := &Transform{}
 	for i, x := range e {
-		ee += x * x
-		rr += r[i] * r[i]
+		t.ee += x * x
+		y := e[(n-i)%n] // the mirror's sample i
+		t.rr += y * y
 	}
-	for base := 0; base < m; base += n {
-		tile := al.buf[base:min(base+n, m)]
+	if m != n {
+		t.z = make([]complex128, m)
+		al.pairTransform(e, e.MirrorInto(al.mir), t.z)
+		return t, nil
+	}
+	for i, x := range e {
+		al.buf[i] = complex(x, 0)
+	}
+	al.plan.fft(al.buf)
+	t.h = make([]float64, m)
+	for f, z := range al.buf {
+		t.h[f] = real(z) + imag(z)
+	}
+	return t, nil
+}
+
+// pairTransform writes the M-point FFT of e + i·r, tiled periodically to
+// length M, into z.
+func (al *Aligner) pairTransform(e, r Series, z []complex128) {
+	for base := 0; base < len(z); base += al.n {
+		tile := z[base:min(base+al.n, len(z))]
 		for i := range tile {
 			tile[i] = complex(e[i], r[i])
 		}
 	}
-	// Inverse FFT via the conjugate trick: IFFT(x) = conj(FFT(conj(x)))/M,
-	// and conj(conj(Q)·Z) = Q·conj(Z). The real part of the result is then
-	// M times the forward correlation, the negated imaginary part M times
-	// the mirror's.
-	al.plan.fft(al.buf)
-	qs := al.qs[:len(al.buf)]
-	for f, z := range al.buf {
-		al.buf[f] = qs[f] * complex(real(z), -imag(z))
+	al.plan.fft(z)
+}
+
+// AlignTransform returns exactly what the direct pair of scans returns for
+// candidate e with Transform t: d, s from MinRotationDistWindowCutoff(q, e,
+// maxShift, cutoff), then e's mirror m[i] = e[−i mod n] (Series.MirrorInto)
+// with cutoff min(cutoff, d), the mirror winning only if strictly closer —
+// the same distance bits, shift and mirror flag.
+//
+// One pointwise product of t with the query's spectrum and one inverse FFT
+// give the circular cross-correlation of both orientations at every shift;
+// the direct sum then runs only where the estimate is within 2τ of the
+// smallest (see the file comment), so a typical call sums one or two shifts
+// per orientation.
+func (al *Aligner) AlignTransform(e Series, t *Transform, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	if len(e) != al.n {
+		return 0, 0, false, ErrLengthMismatch
 	}
-	al.plan.fft(al.buf)
+	if al.n == 0 {
+		return 0, 0, false, ErrEmpty
+	}
+	if !al.fits(t) {
+		return 0, 0, false, ErrLengthMismatch
+	}
+	al.correlate(t)
+	best, shift, mirrored = al.alignPair(e, nil, t.ee, t.rr, maxShift, cutoff)
+	return best, shift, mirrored, nil
+}
+
+// fits reports whether t has the form and length Transform gives at the
+// prepared length.
+func (al *Aligner) fits(t *Transform) bool {
+	if al.m == al.n {
+		return len(t.h) == al.m
+	}
+	return len(t.z) == al.m
+}
+
+// correlate leaves in al.buf M times the conjugated circular
+// cross-correlation of the query with the candidate pair t was formed from:
+// the forward orientation's in the real parts, minus the mirror's in the
+// imaginary parts. It runs the inverse FFT via the conjugate trick:
+// IFFT(x) = conj(FFT(conj(x)))/M, and conj(conj(Q)·Z) = Q·conj(Z), with
+// conj(Z_f) = (1−i)·h_f for an h form.
+func (al *Aligner) correlate(t *Transform) {
+	buf := al.buf
+	if t.h != nil {
+		for f, x := range t.h {
+			q := al.qh[f]
+			buf[f] = complex(real(q)*x, imag(q)*x)
+		}
+	} else {
+		for f, z := range t.z {
+			buf[f] = al.qs[f] * complex(real(z), -imag(z))
+		}
+	}
+	al.plan.fft(buf)
+}
+
+// alignPair finishes an alignment from the correlations correlate left in
+// al.buf: the direct scan of e, then of its partner r under
+// min(cutoff, d), r winning only if strictly closer. ee and rr are their
+// squared norms; a nil r is e's mirror, built only if a shift of it needs
+// a direct sum.
+func (al *Aligner) alignPair(e, r Series, ee, rr float64, maxShift int, cutoff float64) (best float64, shift int, mirrored bool) {
 	tau := al.tau(al.qq + ee + rr)
-	best, shift = al.verify(e, al.qq+ee, false, maxShift, cutoff, tau)
+	maxShift = shiftBound(al.n, maxShift)
+	lowF, lowM := al.estimate(al.qq+ee, al.qq+rr, maxShift)
+	best, shift = al.verify(e, nil, al.est[:al.n], lowF, maxShift, cutoff, tau)
 	cutM := cutoff
 	if best < cutM {
 		cutM = best
 	}
-	if dRev, sRev := al.verify(r, al.qq+rr, true, maxShift, cutM, tau); dRev < best {
+	if dRev, sRev := al.verify(r, e, al.est[al.n:], lowM, maxShift, cutM, tau); dRev < best {
 		best, shift, mirrored = dRev, sRev, true
 	}
-	return best, shift, mirrored, nil
+	return best, shift, mirrored
 }
 
-// AlignMirror is Align against e's mirror candidate, r[i] = e[−i mod n]
-// (see Series.MirrorInto), built in the aligner's own scratch.
-func (al *Aligner) AlignMirror(e Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
-	if len(e) != al.n {
-		return 0, 0, false, ErrLengthMismatch
+// estimate fills al.est with the distance estimates est_k = p − 2c_k of
+// both orientations at every shift of the window (0…maxShift and
+// n−maxShift…n−1), the forward's in est[:n] and the mirror's in est[n:],
+// and returns each orientation's smallest. The correlations c_k come from
+// al.buf: M times the forward orientation's in the real parts, minus M
+// times the mirror's in the imaginary parts.
+func (al *Aligner) estimate(pf, pm float64, maxShift int) (lowF, lowM float64) {
+	n, scale := al.n, 2/float64(al.m)
+	buf, estF, estM := al.buf[:n], al.est[:n], al.est[n:2*n]
+	lowF, lowM = math.Inf(1), math.Inf(1)
+	lo := min(maxShift+1, n)
+	hi := max(n-maxShift, lo)
+	for _, span := range [2][2]int{{0, lo}, {hi, n}} {
+		for k := span[0]; k < span[1]; k++ {
+			c := buf[k]
+			f, m := pf-real(c)*scale, pm+imag(c)*scale
+			estF[k], estM[k] = f, m
+			if f < lowF {
+				lowF = f
+			}
+			if m < lowM {
+				lowM = m
+			}
+		}
 	}
-	return al.Align(e, e.MirrorInto(al.mir), maxShift, cutoff)
+	return lowF, lowM
 }
 
 // verify runs the direct scan of b against the query over the shifts whose
-// estimate est_k = p − 2c_k could be the scan's first minimum below cutoff².
-// The correlations c_k come from al.buf: M times the forward orientation's
-// in the real parts, minus M times the mirror's in the imaginary parts.
-func (al *Aligner) verify(b Series, p float64, mirror bool, maxShift int, cutoff, tau float64) (float64, int) {
-	n, scale := al.n, 2/float64(al.m)
-	maxShift = shiftBound(n, maxShift)
-	buf, est := al.buf[:n], al.est[:n]
-	if mirror {
-		for k, c := range buf {
-			est[k] = p + imag(c)*scale
-		}
-	} else {
-		for k, c := range buf {
-			est[k] = p - real(c)*scale
-		}
-	}
-	lowest := math.Inf(1)
-	for _, v := range est[:maxShift+1] {
-		if v < lowest {
-			lowest = v
-		}
-	}
-	for _, v := range est[n-maxShift:] {
-		if v < lowest {
-			lowest = v
-		}
-	}
+// estimate (est, lowest the smallest) could be the scan's first minimum
+// below cutoff². A nil b stands for e's mirror, built when first needed.
+func (al *Aligner) verify(b, e Series, est []float64, lowest float64, maxShift int, cutoff, tau float64) (float64, int) {
 	cutSS := cutoff * cutoff
 	hi := lowest + 2*tau
 	if c := cutSS + tau; c < hi {
@@ -387,6 +502,9 @@ func (al *Aligner) verify(b Series, p float64, mirror bool, maxShift int, cutoff
 		// No shift can come within the cutoff. A finite τ implies finite
 		// estimates, so no NaN estimate is being passed over.
 		return math.Inf(1), 0
+	}
+	if b == nil {
+		b = e.MirrorInto(al.mir)
 	}
 	bestSS, shift := minShiftSS(al.q, b, maxShift, cutSS, est, hi)
 	return math.Sqrt(bestSS), shift
@@ -402,14 +520,25 @@ func (al *Aligner) verify(b Series, p float64, mirror bool, maxShift int, cutoff
 //   - FFT (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2):
 //     a radix-2 FFT with twiddle error μ ≤ √2·rootErr is accurate to
 //     ε₁ = tη/(1−tη) in the 2-norm, η = μ + γ(4)(√2+μ), t = log₂M. The
-//     pointwise product adds ε_W = 2ε₁ + ε₁² + √2γ(2)(1+ε₁)², the inverse
-//     transform ε₁(1+ε_W), so ‖ĉ−c‖₂ ≤ √M·‖q‖·‖z‖·ε₂ with
+//     pointwise product Q̂·conj(Ẑ) of two such transforms is within
+//     ε_W = 2ε₁ + ε₁² + √2γ(2)(1+ε₁)² of Q·conj(Z) relative to ‖Q‖·‖Z‖.
+//     At M = n the candidate's form is h = Re E + Im E (Transform), with
+//     ‖h‖ = ‖E‖ = ‖Z‖/√2: ĥ is within ε_h·‖h‖ of h, ε_h = √2ε₁ +
+//     u(1+√2ε₁), the query's Q·(1−i) within ε_q = ε₁ + u(1+ε₁) relative to
+//     its norm √2‖Q‖, and the real × complex product rounds once per
+//     component, so it is within ε_q + ε_h + ε_qε_h + u(1+ε_q)(1+ε_h) of
+//     Q·conj(Z) relative to ‖Q‖·‖Z‖. At M = n ε_W is the larger of the two
+//     budgets, so either form may serve. The inverse transform adds
+//     ε₁(1+ε_W), so ‖ĉ−c‖₂ ≤ √M·‖q‖·‖z‖·ε₂ with
 //     ε₂ = ε_W + ε₁(1+ε_W). The tiled input has ‖z‖² ≤ ⌈M/n⌉(‖e‖²+‖r‖²),
 //     so 2|ĉ_k−c_k| ≤ √(M⌈M/n⌉)·ε₂·P.
 //   - Estimate: the norms carry γ(n+1)·P and est's subtraction
 //     u(2 + γ(n+1) + √(M⌈M/n⌉)ε₂)·P.
 //   - Spectral bound: each |Ê_f| is within ε_a·‖e‖₁ ≤ ε_a√n‖e‖ of |E_f|,
-//     ε_a = ε_d + γ(3)(1+ε_d), ε_d = √2(γ(n)(1+rootErr) + rootErr); each
+//     ε_a = ε_d + γ(3)(1+ε_d), ε_d = √2(γ(n)(1+rootErr) + rootErr): Of's
+//     sums run over n/2+1 rows, each pairing two samples with one rounding
+//     (|s_i ± s_{n−i}| ≤ |s_i| + |s_{n−i}|), within the γ(n) of an n-term
+//     sum for n > 2K; each
 //     difference within ε_D = ε_a + u(1+ε_a), so lb² is within
 //     4K·P·(ε_D(2+ε_D) + u(1+ε_D)² + γ(K+1)(1+ε_D)²(1+u)) of the exact bound
 //     (K = specTerms), which the direct sum undercuts by at most 2γ(n+2)·P.
@@ -428,6 +557,11 @@ func tolerance(n, m int) float64 {
 	eta := mu + gamma(4)*(math.Sqrt2+mu)
 	e1 := t * eta / (1 - t*eta)
 	eW := 2*e1 + e1*e1 + math.Sqrt2*gamma(2)*(1+e1)*(1+e1)
+	if m == n {
+		eq := e1 + u*(1+e1)
+		eh := math.Sqrt2*e1 + u*(1+math.Sqrt2*e1)
+		eW = max(eW, eq+eh+eq*eh+u*(1+eq)*(1+eh))
+	}
 	e2 := eW + e1*(1+eW)
 	ec := math.Sqrt(float64(m)*float64((m+n-1)/max(n, 1))) * e2
 	direct := 2 * gamma(nf+2)

@@ -227,7 +227,8 @@ func TestAlignerErrors(t *testing.T) {
 // TestPrecomputedSpectrumMatchesBound holds the lookup's split of the
 // spectral bound — a Spectrum computed once per entry by its own SpecTable,
 // then LowerBound and BoundSlack per query — to BoundExceeds, and AlignMirror
-// to Align against the mirror built by MirrorInto.
+// (the h form at M = n) to the whole transform of e and the mirror built by
+// MirrorInto.
 func TestPrecomputedSpectrumMatchesBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var al Aligner
@@ -249,7 +250,7 @@ func TestPrecomputedSpectrumMatchesBound(t *testing.T) {
 			es := tab.Of(e)
 			exact, _, _ := directPair(t, q, e, m, -1, math.Inf(1))
 			for _, c := range []float64{math.Inf(1), 0, exact, exact / 2, exact / 4} {
-				if got, want := al.LowerBound(es) > c*c+al.BoundSlack(es.SS), al.BoundExceeds(e, c); got != want {
+				if got, want := al.LowerBound(&es) > c*c+al.BoundSlack(es.SS), al.BoundExceeds(e, c); got != want {
 					t.Fatalf("n=%d cutoff=%v: precomputed bound prunes %v, BoundExceeds %v", n, c, got, want)
 				}
 				for _, win := range []int{-1, n / 8} {
@@ -257,7 +258,7 @@ func TestPrecomputedSpectrumMatchesBound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wd, ws, wm, err := al.Align(e, m, win, c)
+					wd, ws, wm, err := al.alignWhole(e, m, win, c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,6 +272,84 @@ func TestPrecomputedSpectrumMatchesBound(t *testing.T) {
 	al.Prepare(Series{1, 2, 3})
 	if _, _, _, err := al.AlignMirror(Series{1, 2}, -1, math.Inf(1)); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("AlignMirror length mismatch: got %v", err)
+	}
+}
+
+// TestSpectrumMatchesDFT holds SpecTable.Of, which pairs sample i with
+// n−i, to the plain n-term DFT sum over the same twiddles: each magnitude
+// within the ε_a·√n·‖s‖ the spectral bound's tolerance allows each of them
+// (so within twice that of each other), at even and odd lengths.
+func TestSpectrumMatchesDFT(t *testing.T) {
+	const u = 0x1p-53
+	gamma := func(k float64) float64 { return k * u / (1 - k*u) }
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{33, 34, 64, 96, 100, 128, 129, 256, 300} {
+		tab := NewSpecTable(n)
+		nf := float64(n)
+		ed := math.Sqrt2 * (gamma(nf)*(1+rootErr) + rootErr)
+		ea := ed + gamma(3)*(1+ed)
+		for trial := 0; trial < 20; trial++ {
+			s := smoothShape(rng, n)
+			if trial%2 == 1 {
+				for i := range s {
+					s[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				}
+			}
+			sp := tab.Of(s)
+			norm := math.Sqrt(sp.SS)
+			for f := range sp.Mag {
+				var c, sn float64
+				for i, x := range s {
+					wc, ws := unitRoot((f+1)*i%n, n)
+					c += x * wc
+					sn += x * ws
+				}
+				want := math.Sqrt(c*c + sn*sn)
+				if d := math.Abs(sp.Mag[f] - want); d > 2*ea*math.Sqrt(nf)*norm {
+					t.Fatalf("n=%d trial=%d f=%d: |S_f| = %v, plain DFT %v (off by %g, allowed %g)",
+						n, trial, f+1, sp.Mag[f], want, d, 2*ea*math.Sqrt(nf)*norm)
+				}
+			}
+		}
+	}
+}
+
+// TestTransformServesLaterQueries pins the cache contract: a Transform
+// formed once, by an aligner prepared for another query, serves every later
+// query of its length on any aligner with the direct pair's exact answer.
+func TestTransformServesLaterQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range alignLengths {
+		var former, al Aligner
+		former.Prepare(smoothShape(rng, n).ZNormalize())
+		e := smoothShape(rng, n).ZNormalize()
+		tr, err := former.Transform(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 8; trial++ {
+			q := smoothShape(rng, n).ZNormalize()
+			if trial%2 == 0 {
+				q = e.Rotate(rng.Intn(n)).Clone()
+				if trial%4 == 0 {
+					q = mirrorOf(e).Rotate(rng.Intn(n)).Clone()
+				}
+				for i := range q {
+					q[i] += 1e-3 * rng.NormFloat64()
+				}
+			}
+			al.Prepare(q)
+			for _, win := range []int{-1, n / 8} {
+				wd, ws, wm := directPair(t, q, e, mirrorOf(e), win, math.Inf(1))
+				gd, gs, gm, err := al.AlignTransform(e, tr, win, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(gd) != math.Float64bits(wd) || gs != ws || gm != wm {
+					t.Fatalf("n=%d trial=%d win=%d: cached (%v, %d, %v), direct (%v, %d, %v)", n, trial, win, gd, gs, gm, wd, ws, wm)
+				}
+			}
+		}
 	}
 }
 
@@ -385,5 +464,51 @@ func (al *Aligner) BoundExceeds(e Series, cutoff float64) bool {
 		return false
 	}
 	es := al.spec.Of(e)
-	return al.LowerBound(es) > cutoff*cutoff+al.BoundSlack(es.SS)
+	return al.LowerBound(&es) > cutoff*cutoff+al.BoundSlack(es.SS)
+}
+
+// AlignMirror is the served exact path on one candidate: Transform, then
+// AlignTransform.
+func (al *Aligner) AlignMirror(e Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	t, err := al.Transform(e)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	return al.AlignTransform(e, t, maxShift, cutoff)
+}
+
+// Align is the aligner against an arbitrary second candidate r of e's
+// length, with the contract of AlignTransform: r is scanned second under
+// min(cutoff, d) and wins only if strictly closer. When r is e's mirror it
+// is the served path, AlignMirror; otherwise the pair's M-point transform is
+// formed whole, which exercises the tiled form at M = n too.
+func (al *Aligner) Align(e, r Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	if len(e) != al.n || len(r) != al.n {
+		return 0, 0, false, ErrLengthMismatch
+	}
+	if al.n == 0 {
+		return 0, 0, false, ErrEmpty
+	}
+	isMirror := true
+	for i, x := range e.MirrorInto(nil) {
+		isMirror = isMirror && math.Float64bits(x) == math.Float64bits(r[i])
+	}
+	if isMirror {
+		return al.AlignMirror(e, maxShift, cutoff)
+	}
+	return al.alignWhole(e, r, maxShift, cutoff)
+}
+
+// alignWhole is Align through the whole M-point transform of e + i·r.
+func (al *Aligner) alignWhole(e, r Series, maxShift int, cutoff float64) (best float64, shift int, mirrored bool, err error) {
+	var ee, rr float64
+	for i, x := range e {
+		ee += x * x
+		rr += r[i] * r[i]
+	}
+	t := &Transform{z: make([]complex128, al.m)}
+	al.pairTransform(e, r, t.z)
+	al.correlate(t)
+	best, shift, mirrored = al.alignPair(e, r, ee, rr, maxShift, cutoff)
+	return best, shift, mirrored, nil
 }
